@@ -4,15 +4,16 @@ The ``repro.train`` consolidation wraps the threaded SGD engine (paper
 Sec. 6.1) behind the shared :class:`~repro.train.base.Trainer` loop.  This
 script gates the wrapper's overhead on the synthetic dataset:
 
-* **threaded parity** — epoch throughput (examples/sec) of the new
-  :class:`~repro.train.ThreadedTrainer` must be at least
-  ``MIN_PARITY`` x the deprecated ``ThreadedSGDTrainer``'s.  Both drive
-  the identical per-sample engine, so anything below parity (minus
-  measurement noise) means the new loop added per-epoch cost;
+* **threaded parity** — epoch throughput (examples/sec) of
+  :class:`~repro.train.ThreadedTrainer` must be at least ``MIN_PARITY``
+  x that of the bare :class:`~repro.parallel.trainer.ThreadedSGDEngine`
+  it wraps.  Both run the identical per-sample engine, so anything below
+  parity (minus measurement noise) means the wrapper loop added
+  per-epoch cost;
 * **serial context** — the vectorized ``SerialTrainer`` throughput is
   reported alongside (it should dwarf both per-sample paths);
 * **equivalence spot-check** — one epoch at 1 worker must produce
-  bit-identical user factors across the old and new entry points.
+  bit-identical user factors through the trainer and the bare engine.
 
 Like ``bench_streaming.py`` this is a plain script so CI can archive the
 JSON payload::
@@ -28,7 +29,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Dict, List
 
@@ -47,10 +47,10 @@ from repro import (  # noqa: E402
     train_test_split,
 )
 from repro.core.factors import FactorSet  # noqa: E402
-from repro.parallel.trainer import ThreadedSGDTrainer  # noqa: E402
+from repro.parallel.trainer import ThreadedSGDEngine  # noqa: E402
 
-#: New ThreadedTrainer throughput must reach this fraction of the old
-#: ThreadedSGDTrainer's.  They execute the same engine, so the floor only
+#: ThreadedTrainer throughput must reach this fraction of the bare
+#: ThreadedSGDEngine's.  They execute the same engine, so the floor only
 #: absorbs timer noise; a real wrapper regression lands far below it.
 MIN_PARITY = 0.85
 
@@ -103,16 +103,12 @@ def main(argv=None) -> int:
     config = _config(sizes)
     workers = sizes["workers"]
 
-    # -- old front door: deprecated ThreadedSGDTrainer -----------------
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        old_fs = FactorSet(
-            train.n_users, data.taxonomy, config.factors,
-            config.taxonomy_levels, seed=config.seed,
-        )
-        old_trainer = ThreadedSGDTrainer(
-            old_fs, train, config, n_threads=workers
-        )
+    # -- baseline ("old" in the payload): the bare ThreadedSGDEngine -----
+    old_fs = FactorSet(
+        train.n_users, data.taxonomy, config.factors,
+        config.taxonomy_levels, seed=config.seed,
+    )
+    old_trainer = ThreadedSGDEngine(old_fs, train, config, n_threads=workers)
     old_trainer.train_epoch()  # warm-up (allocations, caches)
 
     def old_epoch():
@@ -121,12 +117,12 @@ def main(argv=None) -> int:
 
     old_tput = _throughput(old_epoch, sizes["epochs"])
 
-    # -- new front door: ThreadedTrainer -------------------------------
+    # -- the front door ("new"): ThreadedTrainer ------------------------
     new_model = TaxonomyFactorModel(data.taxonomy, config)
     new_trainer = ThreadedTrainer(new_model, n_workers=workers)
     new_trainer.train(train, epochs=1)  # warm-up, also runs _setup
-    # Driving _run_epoch directly (to time bare epochs, like the old
-    # trainer's train_epoch) bypasses the loop's history append, so the
+    # Driving _run_epoch directly (to time bare epochs, like the
+    # engine's train_epoch) bypasses the loop's history append, so the
     # epoch index — and with it the per-epoch seed — advances manually.
     epoch_counter = [1]
 
@@ -149,20 +145,18 @@ def main(argv=None) -> int:
     parity = new_tput / old_tput if old_tput else float("inf")
 
     # -- equivalence spot-check (1 worker, 1 epoch) ---------------------
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        eq_fs = FactorSet(
-            train.n_users, data.taxonomy, config.factors,
-            config.taxonomy_levels, seed=config.seed,
-        )
-        ThreadedSGDTrainer(eq_fs, train, config, n_threads=1).train_epoch()
+    eq_fs = FactorSet(
+        train.n_users, data.taxonomy, config.factors,
+        config.taxonomy_levels, seed=config.seed,
+    )
+    ThreadedSGDEngine(eq_fs, train, config, n_threads=1).train_epoch()
     eq_model = TaxonomyFactorModel(data.taxonomy, config)
     ThreadedTrainer(eq_model, n_workers=1).train(train, epochs=1)
     identical = bool(np.array_equal(eq_fs.user, eq_model.factor_set.user))
 
     rows: List[List] = [
-        ["ThreadedSGDTrainer (old)", workers, old_tput],
-        ["ThreadedTrainer (new)", workers, new_tput],
+        ["ThreadedSGDEngine (bare)", workers, old_tput],
+        ["ThreadedTrainer", workers, new_tput],
         ["SerialTrainer (batch)", 1, serial_tput],
     ]
     table = format_table(
@@ -170,7 +164,7 @@ def main(argv=None) -> int:
         ["trainer", "workers", "examples/sec"],
         rows,
         note=(
-            f"parity new/old = {parity:.2f} (floor {MIN_PARITY}); "
+            f"parity trainer/engine = {parity:.2f} (floor {MIN_PARITY}); "
             f"1-worker factors identical: {identical}"
         ),
     )
@@ -196,11 +190,11 @@ def main(argv=None) -> int:
     if parity < MIN_PARITY:
         failures.append(
             f"ThreadedTrainer throughput {new_tput:.0f}/sec fell below "
-            f"{MIN_PARITY}x the old ThreadedSGDTrainer ({old_tput:.0f}/sec)"
+            f"{MIN_PARITY}x the bare ThreadedSGDEngine ({old_tput:.0f}/sec)"
         )
     if not identical:
         failures.append(
-            "1-worker ThreadedTrainer diverged from ThreadedSGDTrainer"
+            "1-worker ThreadedTrainer diverged from ThreadedSGDEngine"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -27,8 +27,7 @@ one callback system (``EvalCallback``, ``EarlyStopping``, ``LRSchedule``,
 ``CheckpointCallback``).  Declarative
 :class:`~repro.utils.config.ExperimentSpec` files run end to end via
 :class:`~repro.train.runner.ExperimentRunner` — also exposed as
-``python -m repro run`` / ``sweep``.  The older ``model.fit(...)`` and
-``parallel.ThreadedSGDTrainer`` entry points remain as deprecated shims.
+``python -m repro run`` / ``sweep``.
 
 Serving (the recommended inference entry point)
 -----------------------------------------------
@@ -189,7 +188,7 @@ from repro.utils.config import (
     save_spec,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

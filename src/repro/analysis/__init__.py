@@ -22,9 +22,9 @@ REP004    lock discipline — an attribute guarded by a lock somewhere
 REP005    shared-memory lifecycle — ``SharedMemory``/``SharedFactors``
           creation needs a reachable ``close``/``unlink``/``release``
           in a ``finally`` block or a cleanup method
-REP006    no deprecated shims internally — ``model.fit``,
-          ``ThreadedSGDTrainer`` and legacy ``.npz`` loading are
-          compatibility surface for *users*, not for ``src/``
+REP007    no ``print()`` in library code — use logging
+REP008    no blocking calls (``time.sleep``, sync sockets, untimed
+          ``queue.get``) on the gateway's asyncio event loop
 ========  ==========================================================
 
 Run it as ``python -m repro.analysis [paths...]`` or ``python -m repro

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter: determinism, top-k total order, "
             "monotonic clocks, lock discipline, shared-memory lifecycle, "
-            "and deprecated-shim hygiene."
+            "async blocking calls, and no print() in library code."
         ),
     )
     parser.add_argument(

@@ -9,7 +9,6 @@ set and no filesystem scanning happens at import time).
 from repro.analysis.rules import (  # noqa: F401  (imports register the rules)
     asyncblocking,
     clocks,
-    deprecated,
     determinism,
     locks,
     noprint,
@@ -20,7 +19,6 @@ from repro.analysis.rules import (  # noqa: F401  (imports register the rules)
 __all__ = [
     "asyncblocking",
     "clocks",
-    "deprecated",
     "determinism",
     "locks",
     "noprint",

@@ -28,8 +28,8 @@ changing the objective.
 
 Models persist as :class:`~repro.serving.bundle.ModelBundle` directories
 (factors + taxonomy + config + manifest).  The pre-1.1 ``model.npz`` +
-``model.npz.meta.json`` sidecar convention is still readable (with a
-``DeprecationWarning``); re-run ``train`` to migrate.
+``model.npz.meta.json`` sidecar convention was removed in 2.0; re-run
+``train`` to produce a bundle.
 
 Example session::
 
@@ -300,31 +300,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _load_bundle(args) -> Tuple[ModelBundle, TransactionLog]:
-    """Resolve ``--model`` into a bundle: directory, or legacy ``.npz``."""
-    taxonomy, log = _load_data(args.data_dir)
+    """Resolve ``--model`` (a bundle directory) into a bundle."""
+    _, log = _load_data(args.data_dir)
     path = Path(args.model)
-    try:
-        if (path / MANIFEST_NAME).exists():
-            bundle = ModelBundle.load(path)
-        elif path.is_file():
-            # Surface the DeprecationWarning even under Python's default
-            # warning filters, which hide it outside __main__.
-            print(
-                f"note: {path} uses the deprecated .npz+.meta.json format; "
-                f"re-run `train` to migrate to a bundle directory "
-                f"(see docs/migration.md)",
-                file=sys.stderr,
-            )
-            bundle = ModelBundle.load_legacy(path, taxonomy)  # repro: noqa[REP006] -- the CLI is the supported migration path for user-held legacy .npz artifacts
-        else:
-            bundle = None
-    except BundleError as exc:
-        raise SystemExit(str(exc))
-    if bundle is None:
+    if path.is_file():
+        raise SystemExit(
+            f"{path} is a file, not a bundle directory; the bare .npz "
+            "factor-file format was removed in 2.0 — re-run `train` to "
+            "save a bundle directory (see docs/migration.md)"
+        )
+    if not (path / MANIFEST_NAME).exists():
         raise SystemExit(
             f"no model bundle at {path} (expected a directory with "
-            f"{MANIFEST_NAME}, or a legacy .npz factor file)"
+            f"{MANIFEST_NAME})"
         )
+    try:
+        bundle = ModelBundle.load(path)
+    except BundleError as exc:
+        raise SystemExit(str(exc))
     return bundle, log
 
 

@@ -31,7 +31,7 @@ History = Sequence[np.ndarray]
 
 
 class NotFittedError(RuntimeError):
-    """Raised when inference is requested before :meth:`fit`."""
+    """Raised when inference is requested before the model is trained."""
 
 
 class TaxonomyFactorModel:
@@ -77,63 +77,15 @@ class TaxonomyFactorModel:
         self.history_: List[EpochStats] = []
 
     # ------------------------------------------------------------------
-    # Training
-    # ------------------------------------------------------------------
-    def fit(
-        self,
-        log: TransactionLog,
-        callback: Optional[Callable[[EpochStats, SGDTrainer], None]] = None,
-    ) -> "TaxonomyFactorModel":
-        """Train on *log* with BPR/SGD (Sec. 4).
-
-        .. deprecated:: 1.3
-            Thin shim over :class:`repro.train.SerialTrainer`, which it
-            matches bit-for-bit for the same seed.  Prefer the trainer —
-            it adds callbacks, learning-rate schedules, early stopping,
-            and checkpointing, and swaps backends without code changes::
-
-                from repro.train import SerialTrainer
-                SerialTrainer(model).train(log)
-
-        The log's user indices define the model's user space; its item
-        universe must match the taxonomy.  The legacy *callback* receives
-        ``(EpochStats, SGDTrainer)`` per epoch, as before.
-        """
-        import warnings
-
-        from repro.train.callbacks import LambdaCallback
-        from repro.train.serial import SerialTrainer
-
-        warnings.warn(
-            "model.fit(...) is deprecated; use "
-            "repro.train.SerialTrainer(model).train(log) (identical "
-            "factors for the same seed) or an ExperimentSpec via "
-            "`python -m repro run` — see docs/migration.md for the "
-            "full upgrade guide",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        trainer = SerialTrainer(self)
-        callbacks = []
-        if callback is not None:
-            callbacks.append(
-                LambdaCallback(
-                    on_epoch_end=lambda _e, stats, t: callback(
-                        stats.raw, t._sgd
-                    )
-                )
-            )
-        trainer.train(log, callbacks=callbacks)
-        return self
-
-    # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
     @property
     def factor_set(self) -> FactorSet:
         """The trained parameters (raises if not fitted)."""
         if self._factors is None:
-            raise NotFittedError("call fit() before using the model")
+            raise NotFittedError(
+                "train the model (repro.train.SerialTrainer) before using it"
+            )
         return self._factors
 
     @property
@@ -321,7 +273,7 @@ class TaxonomyFactorModel:
         A model restored from a :class:`~repro.serving.bundle.ModelBundle`
         carries no transaction log; attaching one restores Markov contexts
         and purchased-item exclusion for known users, exactly as after
-        :meth:`fit`.
+        training.
         """
         if log.n_items != self.taxonomy.n_items:
             raise ValueError(

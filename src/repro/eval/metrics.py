@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from repro.core.topk import top_k
 
@@ -33,11 +32,35 @@ def _as_positive_indices(positives: Iterable[int], size: int) -> np.ndarray:
     return idx
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks; each run of tied values gets its mean rank.
+
+    A stable sort groups equal values into runs; a run occupying sorted
+    positions ``i..j`` (0-based) ranks ``(i + j + 2) / 2``, which is exact
+    in float64.  ``-inf`` ties like any other value.  Any NaN makes every
+    rank NaN, so metrics built on the ranks come out NaN as well.
+
+    Examples
+    --------
+    >>> average_ranks(np.array([3.0, 1.0, 3.0, -np.inf]))
+    array([3.5, 2. , 3.5, 1. ])
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     """1-based descending ranks with tie averaging (best score → rank 1)."""
     scores = np.asarray(scores, dtype=np.float64)
-    ascending = rankdata(scores, method="average")
-    return scores.size + 1.0 - ascending
+    return scores.size + 1.0 - average_ranks(scores)
 
 
 def auc(scores: np.ndarray, positives: Iterable[int]) -> float:
@@ -52,7 +75,7 @@ def auc(scores: np.ndarray, positives: Iterable[int]) -> float:
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ascending = rankdata(scores, method="average")
+    ascending = average_ranks(scores)
     pos_rank_sum = float(ascending[pos].sum())
     u_statistic = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
     return u_statistic / (n_pos * n_neg)

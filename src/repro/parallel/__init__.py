@@ -11,18 +11,13 @@ from repro.parallel.simulator import (
     speedup_curve,
     tf_profile,
 )
-from repro.parallel.trainer import (
-    ThreadedEpochStats,
-    ThreadedSGDEngine,
-    ThreadedSGDTrainer,
-)
+from repro.parallel.trainer import ThreadedEpochStats, ThreadedSGDEngine
 
 __all__ = [
     "RWLock",
     "StripedLockManager",
     "FactorCache",
     "ThreadedSGDEngine",
-    "ThreadedSGDTrainer",
     "ThreadedEpochStats",
     "ParallelProfile",
     "SimulatedEpoch",

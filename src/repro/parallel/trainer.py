@@ -19,15 +19,13 @@ paper's scaling experiment uses: ``TF(4,0)`` and ``MF(0)``).
 :class:`ThreadedSGDEngine` is the low-level engine (operating on a bare
 :class:`~repro.core.factors.FactorSet`); model-level training goes through
 :class:`repro.train.ThreadedTrainer`, which wraps it with the unified
-epoch loop, callbacks, and seed policy.  The old :class:`ThreadedSGDTrainer`
-name survives as a deprecated shim.
+epoch loop, callbacks, and seed policy.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -332,25 +330,3 @@ class ThreadedSGDEngine:
         for row, value in zip(neg_rows, w_neg_rows):
             apply_row(row, value, -1.0)
         return float(-log_sigmoid(np.asarray([diff]))[0])
-
-
-class ThreadedSGDTrainer(ThreadedSGDEngine):
-    """Deprecated alias for :class:`ThreadedSGDEngine`.
-
-    The engine is now driven through the unified training front door,
-    :class:`repro.train.ThreadedTrainer`, which adds the shared epoch
-    loop, callbacks, learning-rate schedules, and the library-wide seed
-    policy.  Construct that instead; this name remains as a thin shim for
-    existing callers.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "ThreadedSGDTrainer is deprecated; drive training through "
-            "repro.train.ThreadedTrainer (or use ThreadedSGDEngine "
-            "directly for low-level experiments) — see docs/migration.md "
-            "for the full upgrade guide",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

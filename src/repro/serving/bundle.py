@@ -15,9 +15,7 @@ them into a single directory with a versioned ``manifest.json``::
       popularity.npz    per-item purchase scores  (popularity baseline)
 
 ``ModelBundle(model).save(path)`` / ``ModelBundle.load(path)`` round-trip
-every model class the serving layer accepts.  The old ``.npz`` +
-``.meta.json`` convention is still readable through
-:meth:`ModelBundle.load_legacy` (with a :class:`DeprecationWarning`).
+every model class the serving layer accepts.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import itertools
 import json
 import os
 import shutil
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -305,45 +302,6 @@ class ModelBundle:
     def load_model(cls, directory: PathLike) -> Any:
         """Convenience: load a bundle and return just its model."""
         return cls.load(directory).model
-
-    # ------------------------------------------------------------------
-    # Legacy format
-    # ------------------------------------------------------------------
-    @classmethod
-    def load_legacy(
-        cls, npz_path: PathLike, taxonomy: Taxonomy
-    ) -> "ModelBundle":
-        """Read the pre-bundle ``model.npz`` + ``model.npz.meta.json`` pair.
-
-        The taxonomy was never part of the old artifact and must be
-        supplied by the caller.  Deprecated: re-save with
-        ``ModelBundle(model).save(dir)`` to migrate.
-        """
-        warnings.warn(
-            "loading bare .npz factor files is deprecated; re-save the "
-            "model as a bundle directory with ModelBundle(model).save(dir) "
-            "— see docs/migration.md for the full upgrade guide",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        npz_path = Path(npz_path)
-        if not npz_path.exists():
-            raise BundleError(f"no factor file at {npz_path}")
-        meta_path = Path(str(npz_path) + ".meta.json")
-        meta = (
-            json.loads(meta_path.read_text(encoding="utf-8"))
-            if meta_path.exists()
-            else {}
-        )
-        config = TrainConfig(
-            taxonomy_levels=meta.get("levels", 4),
-            markov_order=meta.get("markov", 0),
-            seed=meta.get("seed", 0),
-        )
-        model_cls = MFModel if config.taxonomy_levels == 1 else TaxonomyFactorModel
-        model = model_cls(taxonomy, config)
-        model._factors = FactorSet.load(npz_path, taxonomy)
-        return cls(model, extra=meta)
 
     def __repr__(self) -> str:
         return f"ModelBundle(model={self.model!r}, extra={self.extra})"

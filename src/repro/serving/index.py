@@ -64,8 +64,7 @@ trade recall for throughput while staying **deterministic**:
   node *budget*; only items of selected cells are scored.
 * :meth:`SubtreeIndex.top_k_ivf` — classic IVF probing with the taxonomy
   as the coarse quantizer: per row, score only the top-``nprobe`` cells
-  by centroid affinity.  Optional ``page_dtype="float16"`` factor pages
-  halve the scan's memory traffic.
+  by centroid affinity.
 
 Both modes select cells per row from **catalog-global** statistics (an
 item-sliced shard still ranks the full catalog's cells and then scores
@@ -73,8 +72,7 @@ only its local members), so the selected candidate set — and therefore
 the merged ranking — is a pure function of (model, knob): byte-identical
 across runs *and* across shard counts.  ``budget=None`` / ``nprobe=None``
 (or any knob covering every cell) selects the whole catalog and is
-bit-identical to :meth:`SubtreeIndex.top_k` / the dense pass (with the
-default float64 pages); recall@k is monotone non-decreasing in the knob
+bit-identical to :meth:`SubtreeIndex.top_k` / the dense pass; recall@k is monotone non-decreasing in the knob
 because a larger budget/nprobe only ever *adds* cells to each row's
 selection.
 """
@@ -172,14 +170,6 @@ class SubtreeIndex:
         the single-process candidate set.  When ``approx=True`` and
         *level* is ``None`` the grouping depth is also chosen from the
         full catalog, for the same reason.
-    page_dtype:
-        Optional compact dtype (``"float32"`` / ``"float16"``) for the
-        approximate scan's factor pages — halves/quarters the memory the
-        blocked GEMM streams.  Scores are computed from the compact page
-        and are deterministic, but no longer bit-identical to the float64
-        dense pass, so this knob requires ``approx=True`` and only
-        affects :meth:`top_k_budget` / :meth:`top_k_ivf`;
-        :meth:`top_k` always scans the exact float64 factors.
 
     Examples
     --------
@@ -208,7 +198,6 @@ class SubtreeIndex:
         block_items: int = 4096,
         registry=None,
         approx: bool = False,
-        page_dtype: Optional[str] = None,
     ):
         self._scan_seconds = None
         self._nodes_counter = None
@@ -264,16 +253,6 @@ class SubtreeIndex:
                 )
         self._indexed_items = indexed
         self.approx = bool(approx)
-        if page_dtype is not None and not self.approx:
-            raise ValueError(
-                "page_dtype= only applies to approximate queries; "
-                "build with approx=True"
-            )
-        if page_dtype is not None and page_dtype not in ("float32", "float16"):
-            raise ValueError(
-                f"page_dtype must be 'float32' or 'float16', got {page_dtype!r}"
-            )
-        self.page_dtype = page_dtype
         if level is None:
             # Approximate cell selection must rank the SAME cells on every
             # shard, so the default depth is chosen from the full catalog,
@@ -342,9 +321,6 @@ class SubtreeIndex:
         # identical keys so the per-row selection is a global function of
         # (model, knob) — that is what makes budget/ivf rankings
         # invariant to the shard count.
-        self._pages = None
-        if self.page_dtype is not None:
-            self._pages = self._eff.astype(self.page_dtype)
         if self.approx:
             if indexed.size == self._n_catalog:
                 self._cell_anchors = self.anchors
@@ -624,7 +600,7 @@ class SubtreeIndex:
         ``q·c_g + max_bias_g`` (ties broken by ascending cell anchor) and
         only the top ``nprobe`` are scored.  ``nprobe=None`` (or
         ``>= n_cells``) probes everything and returns the exact ranking
-        bit-for-bit (with the default float64 pages).  Selection sets are
+        bit-for-bit.  Selection sets are
         nested in ``nprobe``, so recall@k is monotone non-decreasing in
         it; like :meth:`top_k_budget`, the selection is catalog-global
         and therefore invariant to item slicing.
@@ -717,29 +693,13 @@ class SubtreeIndex:
         fill = np.zeros(n_rows, dtype=np.int64)
         nodes_scored = 0
         groups_scanned = 0
-        queries_page = (
-            None
-            if self._pages is None
-            else np.ascontiguousarray(queries, dtype=np.float32)
-        )
         for g in range(self.n_groups):
             hit = np.flatnonzero(local_selected[:, g])
             if hit.size == 0:
                 continue
             rows = self._group_rows[g]
             ids = self._indexed_items[rows]
-            if self._pages is None:
-                scores = (
-                    queries[hit] @ self._eff[rows].T + self._bias[rows]
-                )
-            else:
-                # Elementwise fp16->fp32 casts and fixed-K fp32 dots:
-                # deterministic, and independent of how the catalog is
-                # sliced — but NOT bit-identical to the float64 pass.
-                block = self._pages[rows].astype(np.float32)
-                scores = (queries_page[hit] @ block.T).astype(
-                    np.float64
-                ) + self._bias[rows]
+            scores = queries[hit] @ self._eff[rows].T + self._bias[rows]
             nodes_scored += scores.size
             groups_scanned += 1
             if banned_rows is not None:
@@ -798,9 +758,7 @@ class SubtreeIndex:
         return resolved if any_banned else None
 
     def __repr__(self) -> str:
-        approx = ""
-        if self.approx:
-            approx = f", approx=True, page_dtype={self.page_dtype!r}"
+        approx = ", approx=True" if self.approx else ""
         return (
             f"SubtreeIndex(n_indexed={self.n_indexed}, "
             f"n_groups={self.n_groups}, level={self.level}{approx})"

@@ -80,7 +80,6 @@ def _check_retrieval_config(
     cascade,
     budget: Optional[int],
     nprobe: Optional[int],
-    page_dtype: Optional[str],
 ) -> None:
     """Reject invalid (retrieval, cascade, knob) combinations up front.
 
@@ -115,11 +114,6 @@ def _check_retrieval_config(
             )
         if int(nprobe) < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-    if page_dtype is not None and retrieval not in APPROX_RETRIEVAL_MODES:
-        raise ValueError(
-            "page_dtype= only applies to the approximate modes "
-            f"{'/'.join(APPROX_RETRIEVAL_MODES)}, got retrieval={retrieval!r}"
-        )
 
 
 #: Sliding window of per-request latencies kept for percentile reporting.
@@ -437,10 +431,6 @@ class ModelState:
     taxonomy_version: Optional[TaxonomyVersion] = None
 
 
-#: Backwards-compatible alias — the state class was private before 1.4.
-_ModelState = ModelState
-
-
 class RecommenderService:
     """Route recommendation requests to the right inference path.
 
@@ -493,11 +483,6 @@ class RecommenderService:
     nprobe:
         Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
         everything, i.e. exact results).  Rejected with any other mode.
-    page_dtype:
-        Optional compact factor-page dtype (``"float32"``/``"float16"``)
-        for the approximate scans — cache-friendlier blocked GEMM at the
-        cost of bit-identity with the float64 dense pass (rankings stay
-        deterministic).  Only valid with ``"budget"`` / ``"ivf"``.
     registry:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
         service's :class:`ServingStats` records into; a private registry
@@ -544,16 +529,14 @@ class RecommenderService:
         index_level: Optional[int] = None,
         budget: Optional[int] = None,
         nprobe: Optional[int] = None,
-        page_dtype: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
-        _check_retrieval_config(retrieval, cascade, budget, nprobe, page_dtype)
+        _check_retrieval_config(retrieval, cascade, budget, nprobe)
         self.retrieval = retrieval
         self.index_level = index_level
         self.budget = None if budget is None else int(budget)
         self.nprobe = None if nprobe is None else int(nprobe)
-        self.page_dtype = page_dtype
         self.fold_in_steps = int(fold_in_steps)
         self.fold_in_seed = fold_in_seed
         self.query_cache = QueryVectorCache(cache_size)
@@ -602,7 +585,6 @@ class RecommenderService:
                 level=self.index_level,
                 registry=self._stats.registry,
                 approx=self.retrieval in APPROX_RETRIEVAL_MODES,
-                page_dtype=self.page_dtype,
             )
         return ModelState(
             model=model,

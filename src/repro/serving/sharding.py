@@ -97,7 +97,7 @@ import traceback
 import uuid
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import multiprocessing as mp
 
@@ -141,12 +141,10 @@ class DeadlineExceeded(ShardingError):
 class ShardRequest:
     """One versioned batch/page request payload on a shard pipe.
 
-    Replaces the positional ``(users, k, histories[, span_context])``
-    tuples of earlier revisions: adding a field (``deadline`` arrived
-    this way) no longer reshuffles positional slots, and ``version``
-    lets a future revision change semantics detectably.  Workers still
-    accept the legacy tuples, so a mixed-revision router/worker pair
-    fails soft rather than misinterpreting positions.
+    The only payload the ``batch`` and ``page`` pipe messages carry:
+    named fields let new ones (``deadline`` arrived this way) be added
+    without reshuffling positional slots, and ``version`` lets a future
+    revision change semantics detectably.
 
     Attributes
     ----------
@@ -520,7 +518,6 @@ class _WorkerSpec:
     retrieval: str = "exact"
     budget: Optional[int] = None
     nprobe: Optional[int] = None
-    page_dtype: Optional[str] = None
 
 
 def _slice_bounds(shard_index: int, n_shards: int, n_items: int) -> Tuple[int, int]:
@@ -592,7 +589,6 @@ class _WorkerState:
             retrieval=spec.retrieval if spec.partition == "users" else "exact",
             budget=spec.budget if spec.partition == "users" else None,
             nprobe=spec.nprobe if spec.partition == "users" else None,
-            page_dtype=spec.page_dtype if spec.partition == "users" else None,
         )
         slice_index = None
         if spec.partition == "items" and spec.retrieval != "exact":
@@ -611,7 +607,6 @@ class _WorkerState:
                 payload.taxonomy,
                 items=np.arange(lo, hi, dtype=np.int64),
                 approx=spec.retrieval in APPROX_RETRIEVAL_MODES,
-                page_dtype=spec.page_dtype,
             )
         return cls(spec, service, segments, slice_index)
 
@@ -641,31 +636,6 @@ class _WorkerState:
 
     # -- request handlers ------------------------------------------------
     @staticmethod
-    def _unpack(
-        payload,
-    ) -> Tuple[np.ndarray, int, Optional[list], Optional[SpanContext], Optional[float]]:
-        """Normalize a request payload to its five fields.
-
-        Current routers send a :class:`ShardRequest`; payloads from
-        earlier revisions arrive as ``(users, k, histories)`` or
-        ``(users, k, histories, span_context)`` tuples.  Accepting all
-        three keeps the pipe protocol compatible in either direction.
-        """
-        if isinstance(payload, ShardRequest):
-            return (
-                payload.users,
-                payload.k,
-                payload.histories,
-                payload.span_context,
-                payload.deadline,
-            )
-        if len(payload) == 4:
-            users, k, histories, ctx = payload
-            return users, k, histories, ctx, None
-        users, k, histories = payload
-        return users, k, histories, None, None
-
-    @staticmethod
     def _check_deadline(deadline: Optional[float]) -> None:
         """Refuse work whose deadline passed while it sat in the pipe."""
         if deadline is not None and time.monotonic() > deadline:
@@ -676,44 +646,56 @@ class _WorkerState:
 
     def _traced(self, ctx: SpanContext, tracer: Tracer, name: str) -> Span:
         """Open a worker-side child span under the router's batch span."""
-        span = tracer.child_from_context(
+        return tracer.child_from_context(
             ctx, name, tags={"shard": self.spec.shard_index}
         )
-        return span
 
-    def batch(self, payload, tracer: Optional[Tracer] = None):
-        users, k, histories, ctx, deadline = self._unpack(payload)
-        self._check_deadline(deadline)
+    def _serve(
+        self,
+        request: ShardRequest,
+        tracer: Optional[Tracer],
+        scan: Callable[[], Any],
+    ):
+        """Run *scan* for *request*, traced when the router stamped it.
+
+        Untraced requests return the scan's result; traced ones return
+        ``(result, span_records)`` with a ``queue_wait`` span (the time
+        between the router stamping the context and this worker picking
+        the message off its FIFO pipe) and a ``scan`` span around *scan*.
+        """
+        self._check_deadline(request.deadline)
+        ctx = request.span_context
         if ctx is None or tracer is None:
-            return self.service.recommend_batch(users, k=k, histories=histories)
-        # Queue wait: time between the router stamping the context and
-        # this worker picking the message off its FIFO pipe.
+            return scan()
         wait = ctx.queue_wait()
         queued = self._traced(ctx, tracer, "queue_wait")
         queued.duration_s = wait
         queued.finish()
-        with self._traced(ctx, tracer, "scan") as scan:
-            result = self.service.recommend_batch(
-                users, k=k, histories=histories
-            )
-            scan.set_tag("requests", int(np.asarray(users).size))
-        records = [span.as_dict() for span in tracer.buffer.drain()]
+        with self._traced(ctx, tracer, "scan") as span:
+            result = scan()
+            span.set_tag("requests", int(np.asarray(request.users).size))
+        records = [record.as_dict() for record in tracer.buffer.drain()]
         return result, records
 
-    def page(self, payload, tracer: Optional[Tracer] = None):
+    def batch(self, request: ShardRequest, tracer: Optional[Tracer] = None):
+        """User-partitioned serving: this shard's users, whole catalog."""
+        return self._serve(
+            request,
+            tracer,
+            lambda: self.service.recommend_batch(
+                request.users, k=request.k, histories=request.histories
+            ),
+        )
+
+    def page(self, request: ShardRequest, tracer: Optional[Tracer] = None):
         """Item-partitioned scoring: this shard's slice of the catalog."""
-        users, k, histories, ctx, deadline = self._unpack(payload)
-        self._check_deadline(deadline)
-        if ctx is not None and tracer is not None:
-            wait = ctx.queue_wait()
-            queued = self._traced(ctx, tracer, "queue_wait")
-            queued.duration_s = wait
-            queued.finish()
-            with self._traced(ctx, tracer, "scan"):
-                page = self._score_page(users, k, histories)
-            records = [span.as_dict() for span in tracer.buffer.drain()]
-            return page, records
-        return self._score_page(users, k, histories)
+        return self._serve(
+            request,
+            tracer,
+            lambda: self._score_page(
+                request.users, request.k, request.histories
+            ),
+        )
 
     def _score_page(
         self, users: np.ndarray, k: int, histories: Optional[list]
@@ -993,9 +975,6 @@ class ShardRouter:
     nprobe:
         Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
         everything, exact results); rejected with any other mode.
-    page_dtype:
-        Optional compact factor-page dtype (``"float32"``/``"float16"``)
-        for the approximate scans; only valid with ``"budget"``/``"ivf"``.
     mp_context:
         A :mod:`multiprocessing` start-method name or context (defaults
         to the platform default — ``fork`` on Linux, ``spawn`` on
@@ -1013,8 +992,8 @@ class ShardRouter:
         :class:`~repro.obs.tracing.SpanContext` down each shard's pipe,
         and adopts the workers' ``queue_wait`` / ``scan`` child spans
         back into its buffer so the whole request stitches into one tree
-        (:func:`repro.obs.tracing.stitch`).  ``None`` (default) keeps
-        the classic 3-tuple pipe payloads and zero tracing overhead.
+        (:func:`repro.obs.tracing.stitch`).  ``None`` (default) sends
+        no span context down the pipes and adds zero tracing overhead.
 
     Notes
     -----
@@ -1037,7 +1016,6 @@ class ShardRouter:
         retrieval: str = "exact",
         budget: Optional[int] = None,
         nprobe: Optional[int] = None,
-        page_dtype: Optional[str] = None,
         mp_context: Union[str, Any, None] = None,
         start_timeout: float = 120.0,
         request_timeout: float = 120.0,
@@ -1055,13 +1033,12 @@ class ShardRouter:
                 "cascaded inference prunes whole categories and cannot be "
                 "combined with item-sliced shards; use partition='users'"
             )
-        _check_retrieval_config(retrieval, cascade, budget, nprobe, page_dtype)
+        _check_retrieval_config(retrieval, cascade, budget, nprobe)
         self.n_shards = int(n_shards)
         self.partition = partition
         self.retrieval = retrieval
         self.budget = None if budget is None else int(budget)
         self.nprobe = None if nprobe is None else int(nprobe)
-        self.page_dtype = page_dtype
         self.request_timeout = float(request_timeout)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
@@ -1115,7 +1092,6 @@ class ShardRouter:
                     retrieval=retrieval,
                     budget=self.budget,
                     nprobe=self.nprobe,
-                    page_dtype=page_dtype,
                 )
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(

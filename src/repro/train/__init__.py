@@ -17,10 +17,6 @@ All three share one epoch loop, one per-epoch seed policy
 :class:`~repro.utils.config.ExperimentSpec` files run end to end through
 :class:`ExperimentRunner` / :func:`run_experiment` / :func:`sweep` — the
 ``python -m repro run`` and ``sweep`` commands.
-
-The legacy entry points — ``model.fit(...)`` and
-``parallel.ThreadedSGDTrainer`` — remain as thin deprecated shims over
-these trainers.
 """
 
 from repro.train.base import TrainEpoch, Trainer, TrainerResult

@@ -2,10 +2,8 @@
 
 The paper runs the same SGD objective (Eq. 6) in several regimes —
 full-batch offline training (Sec. 4), lock-based multi-threaded training
-(Sec. 6.1), and incremental online updates between retrains.  Historically
-each regime had its own entry point (``model.fit``, ``ThreadedSGDTrainer``,
-``OnlineUpdater``) with duplicated loop logic and ad-hoc seeding.  This
-module defines the shared contract:
+(Sec. 6.1), and incremental online updates between retrains.  This
+module defines the one contract all of them train through:
 
 * :class:`Trainer` — the abstract epoch loop.  Subclasses implement
   ``_setup(log)`` and ``_run_epoch(epoch)``; the base class owns epoch
@@ -104,8 +102,7 @@ class Trainer(abc.ABC):
     model:
         A :class:`~repro.core.tf_model.TaxonomyFactorModel` (or subclass).
         The trainer mutates it in place — after ``train()`` returns, the
-        model is fitted exactly as if the backend's legacy entry point had
-        been called.
+        model holds the trained factors and its training log.
     callbacks:
         :class:`~repro.train.callbacks.Callback` objects invoked around
         every epoch (more can be passed per ``train()`` call).
@@ -303,8 +300,7 @@ class Trainer(abc.ABC):
             )
 
     def _init_offline_factors(self, log: TransactionLog) -> None:
-        """Fresh factors for an offline fit, exactly as the legacy
-        ``model.fit`` initialized them.
+        """Fresh factors (seeded by ``config.seed``) for an offline fit.
 
         Shared by the serial and threaded backends — the documented
         1-worker bit-identity between them starts from this common

@@ -4,9 +4,8 @@ Two update granularities behind the same :class:`~repro.train.base.Trainer`
 contract:
 
 * ``update="batch"`` (default) — the vectorized minibatch scatter-add of
-  :class:`~repro.core.sgd.SGDTrainer`, the fastest offline path and the
-  engine the deprecated ``model.fit(...)`` shim delegates to; supports
-  every model variant (Markov term, sibling training).
+  :class:`~repro.core.sgd.SGDTrainer`, the fastest offline path;
+  supports every model variant (Markov term, sibling training).
 * ``update="sample"`` — per-sample SGD driven through the *same*
   per-sample engine the threaded backend uses
   (:class:`~repro.parallel.trainer.ThreadedSGDEngine` with one shard,
@@ -32,9 +31,8 @@ from repro.utils.rng import ensure_rng
 def train_model(model: Any, log: TransactionLog, **train_kwargs) -> Any:
     """One-liner serial fit: ``SerialTrainer(model).train(log)`` → *model*.
 
-    The drop-in replacement for the deprecated ``model.fit(log)`` chain
-    (identical factors for the same seed); keyword arguments pass through
-    to :meth:`~repro.train.base.Trainer.train`.
+    Keyword arguments pass through to
+    :meth:`~repro.train.base.Trainer.train`.
 
     Examples
     --------

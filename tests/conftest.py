@@ -18,6 +18,7 @@ from repro import (
     train_test_split,
 )
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +52,7 @@ def tf_model(dataset, split, train_config):
     model = TaxonomyFactorModel(
         dataset.taxonomy, train_config, taxonomy_levels=4, sibling_ratio=0.5
     )
-    return model.fit(split.train)
+    return train_model(model, split.train)
 
 
 @pytest.fixture(scope="session")
@@ -59,12 +60,12 @@ def tf_markov_model(dataset, split, train_config):
     model = TaxonomyFactorModel(
         dataset.taxonomy, train_config, taxonomy_levels=4, markov_order=1
     )
-    return model.fit(split.train)
+    return train_model(model, split.train)
 
 
 @pytest.fixture(scope="session")
 def mf_model(dataset, split, train_config):
-    return MFModel(dataset.taxonomy, train_config).fit(split.train)
+    return train_model(MFModel(dataset.taxonomy, train_config), split.train)
 
 
 @pytest.fixture()

@@ -346,73 +346,6 @@ RULE_CASES = [
         """,
         [],
     ),
-    # --- REP006: no deprecated shims internally -------------------------
-    (
-        "rep006-model-fit",
-        "src/repro/pipeline.py",
-        """
-        from repro.core.tf_model import TaxonomyFactorModel
-
-        def run(taxonomy, log):
-            model = TaxonomyFactorModel(taxonomy)
-            model.fit(log)
-            return model
-        """,
-        ["REP006"],
-    ),
-    (
-        "rep006-threaded-trainer-import",
-        "src/repro/pipeline.py",
-        """
-        from repro.parallel.trainer import ThreadedSGDTrainer
-        """,
-        ["REP006"],
-    ),
-    (
-        "rep006-trainer-module-exempt",
-        "src/repro/parallel/trainer.py",
-        """
-        class ThreadedSGDTrainer:
-            pass
-        """,
-        [],
-    ),
-    (
-        "rep006-load-legacy",
-        "src/repro/pipeline.py",
-        """
-        from repro.serving.bundle import ModelBundle
-
-        def load(path, taxonomy):
-            return ModelBundle.load_legacy(path, taxonomy)
-        """,
-        ["REP006"],
-    ),
-    (
-        "rep006-bundle-module-exempt",
-        "src/repro/serving/bundle.py",
-        """
-        class ModelBundle:
-            @classmethod
-            def load_legacy(cls, path, taxonomy):
-                return cls.load_legacy(path, taxonomy)
-        """,
-        [],
-    ),
-    (
-        "rep006-trainer-api-ok",
-        "src/repro/pipeline.py",
-        """
-        from repro.core.tf_model import TaxonomyFactorModel
-        from repro.train import SerialTrainer
-
-        def run(taxonomy, log):
-            model = TaxonomyFactorModel(taxonomy)
-            SerialTrainer(model).train(log)
-            return model
-        """,
-        [],
-    ),
     # --- REP007: no print() in library code ------------------------------
     (
         "rep007-print-in-library",
@@ -790,15 +723,15 @@ def test_cli_json_report(tmp_path, capsys):
     assert all("fingerprint" in f for f in payload["findings"])
 
 
-def test_cli_list_rules_covers_all_eight(capsys):
+def test_cli_list_rules_covers_all_seven(capsys):
     assert analysis_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                 "REP006", "REP007", "REP008"):
+                 "REP007", "REP008"):
         assert code in out
     assert sorted(r.code for r in all_rules()) == [
-        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-        "REP007", "REP008",
+        "REP001", "REP002", "REP003", "REP004", "REP005", "REP007",
+        "REP008",
     ]
 
 
@@ -835,7 +768,7 @@ def test_committed_baseline_is_small_and_justified(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     baseline = load_baseline("analysis-baseline.json")
     entries = baseline.entries
-    assert 0 < len(entries) <= 5
+    assert len(entries) <= 5
     for entry in entries:
         assert len(entry.justification) > 20
         assert entry.justification != TODO_JUSTIFICATION

@@ -11,6 +11,7 @@ from repro.core.cascade import (
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import CascadeConfig, TrainConfig
 
 
@@ -22,9 +23,10 @@ def model():
         [[int(rng.integers(0, 27))] for _ in range(2)] for _ in range(60)
     ]
     log = TransactionLog(rows, n_items=27)
-    return TaxonomyFactorModel(
+    model = TaxonomyFactorModel(
         taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
-    ).fit(log)
+    )
+    return train_model(model, log)
 
 
 class TestExactness:

@@ -10,6 +10,7 @@ from repro.core.explain import explain_score
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import CascadeConfig, TrainConfig
 
 TAXONOMY = complete_taxonomy((3, 3), items_per_leaf=3)  # 27 items
@@ -20,10 +21,11 @@ def model():
     rng = np.random.default_rng(1)
     rows = [[[int(rng.integers(0, 27))] for _ in range(2)] for _ in range(50)]
     log = TransactionLog(rows, n_items=27)
-    return TaxonomyFactorModel(
+    model = TaxonomyFactorModel(
         TAXONOMY,
         TrainConfig(factors=4, epochs=3, taxonomy_levels=3, markov_order=1, seed=0),
-    ).fit(log)
+    )
+    return train_model(model, log)
 
 
 fractions = st.floats(min_value=0.05, max_value=1.0)

@@ -397,30 +397,22 @@ class TestServeBatch:
 
 
 class TestLegacyModelShim:
-    def test_reads_npz_with_meta_sidecar(self, workspace, capsys):
+    def test_bare_npz_rejected_with_removal_note(self, workspace):
         directory, model_path = workspace
         from repro.serving.bundle import ModelBundle
 
-        bundle = ModelBundle.load(model_path)
         legacy_path = directory / "legacy.npz"
-        bundle.model.factor_set.save(legacy_path)
-        Path(str(legacy_path) + ".meta.json").write_text(
-            json.dumps({"levels": 4, "markov": 0, "mu": 0.5, "seed": 0})
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert (
-                main(
-                    [
-                        "evaluate",
-                        "--data-dir",
-                        str(directory),
-                        "--model",
-                        str(legacy_path),
-                    ]
-                )
-                == 0
+        ModelBundle.load(model_path).model.factor_set.save(legacy_path)
+        with pytest.raises(SystemExit, match="removed in 2.0"):
+            main(
+                [
+                    "evaluate",
+                    "--data-dir",
+                    str(directory),
+                    "--model",
+                    str(legacy_path),
+                ]
             )
-        assert "AUC=" in capsys.readouterr().out
 
     def test_baseline_bundle_rejected_cleanly(self, workspace, tmp_path):
         directory, _ = workspace

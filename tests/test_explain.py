@@ -7,6 +7,7 @@ from repro.core.explain import explain_recommendations, explain_score
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -25,19 +26,21 @@ def log():
 
 @pytest.fixture(scope="module")
 def plain_model(taxonomy, log):
-    return TaxonomyFactorModel(
+    model = TaxonomyFactorModel(
         taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=3, seed=0)
-    ).fit(log)
+    )
+    return train_model(model, log)
 
 
 @pytest.fixture(scope="module")
 def markov_model(taxonomy, log):
-    return TaxonomyFactorModel(
+    model = TaxonomyFactorModel(
         taxonomy,
         TrainConfig(
             factors=4, epochs=4, taxonomy_levels=3, markov_order=2, seed=0
         ),
-    ).fit(log)
+    )
+    return train_model(model, log)
 
 
 class TestDecompositionExactness:

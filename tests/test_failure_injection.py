@@ -18,6 +18,7 @@ from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
 from repro.taxonomy.io import load_taxonomy
 from repro.taxonomy.tree import Taxonomy, TaxonomyError
+from repro.train import train_model
 from repro.utils.config import CascadeConfig, TrainConfig
 
 
@@ -66,7 +67,8 @@ class TestDegenerateData:
         log = TransactionLog([[[0]]], n_items=2)
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         scores = model.score_items(0)
         assert scores.shape == (2,)
         assert np.all(np.isfinite(scores))
@@ -79,7 +81,8 @@ class TestDegenerateData:
             TrainConfig(
                 factors=2, epochs=2, taxonomy_levels=2, markov_order=2, seed=0
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         assert np.isfinite(model.score_items(0)).all()
 
     def test_markov_order_longer_than_any_history(self):
@@ -90,7 +93,8 @@ class TestDegenerateData:
             TrainConfig(
                 factors=2, epochs=2, taxonomy_levels=2, markov_order=5, seed=0
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         assert np.isfinite(model.score_items(0)).all()
 
     def test_taxonomy_levels_far_beyond_depth(self):
@@ -99,7 +103,8 @@ class TestDegenerateData:
         model = TaxonomyFactorModel(
             taxonomy,
             TrainConfig(factors=2, epochs=3, taxonomy_levels=9, seed=0),
-        ).fit(log)
+        )
+        train_model(model, log)
         # Pad rows must stay pinned even with mostly-padded chains.
         assert np.all(model.factor_set.w[-1] == 0)
 
@@ -108,7 +113,8 @@ class TestDegenerateData:
         log = TransactionLog([], n_items=4)
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=2, epochs=2, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         # Nothing to learn, but the model must still score.
         assert model.score_items(0).shape == (4,)
 
@@ -117,7 +123,8 @@ class TestDegenerateData:
         log = TransactionLog([[[0]]], n_items=4)
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=2, epochs=0, taxonomy_levels=2, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         assert model.history_ == []
         assert np.isfinite(model.score_items(0)).all()
 
@@ -164,6 +171,7 @@ class TestMisuse:
             TrainConfig(
                 factors=4, epochs=10, learning_rate=2.0, taxonomy_levels=3, seed=0
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         assert np.isfinite(model.factor_set.w).all()
         assert np.isfinite(model.score_items(0)).all()

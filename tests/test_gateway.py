@@ -646,17 +646,13 @@ class TestLoadGenerator:
 # ShardRequest payloads + deadline propagation (satellite of this PR)
 # ----------------------------------------------------------------------
 class TestShardRequest:
-    def test_unpack_accepts_dataclass_and_legacy_tuples(self):
+    def test_request_defaults_and_version(self):
         users = np.asarray([1, 2], dtype=np.int64)
         request = ShardRequest(users=users, k=5, deadline=123.0)
         assert request.version == 1
-        unpacked = _WorkerState._unpack(request)
-        assert unpacked[0] is users
-        assert unpacked[1] == 5 and unpacked[4] == 123.0
-        legacy3 = _WorkerState._unpack((users, 7, None))
-        assert legacy3[1] == 7 and legacy3[3] is None and legacy3[4] is None
-        legacy4 = _WorkerState._unpack((users, 7, None, "ctx"))
-        assert legacy4[3] == "ctx" and legacy4[4] is None
+        assert request.users is users
+        assert request.k == 5 and request.deadline == 123.0
+        assert request.histories is None and request.span_context is None
 
     def test_check_deadline_raises_typed_error_when_expired(self):
         _WorkerState._check_deadline(None)

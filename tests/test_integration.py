@@ -16,6 +16,7 @@ from repro import (
     evaluate_category_level,
     evaluate_model,
 )
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -65,7 +66,8 @@ class TestTaxonomyDepth:
         for levels in (1, 4):
             model = TaxonomyFactorModel(
                 dataset.taxonomy, train_config, taxonomy_levels=levels
-            ).fit(split.train)
+            )
+            train_model(model, split.train)
             aucs[levels] = evaluate_model(model, split).auc
         assert aucs[4] > aucs[1]
 
@@ -95,10 +97,12 @@ class TestSiblingTraining:
     def test_sibling_training_quality(self, dataset, split, train_config):
         without = TaxonomyFactorModel(
             dataset.taxonomy, train_config, sibling_ratio=0.0
-        ).fit(split.train)
+        )
+        train_model(without, split.train)
         with_sib = TaxonomyFactorModel(
             dataset.taxonomy, train_config, sibling_ratio=0.5
-        ).fit(split.train)
+        )
+        train_model(with_sib, split.train)
         auc_without = evaluate_model(without, split).auc
         auc_with = evaluate_model(with_sib, split).auc
         assert auc_with > auc_without - 0.02

@@ -7,6 +7,7 @@ from repro.core.mf_model import MFModel, bpr_mf_model, flat_taxonomy, fpmc_model
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -46,8 +47,8 @@ class TestMFModel:
     def test_mf_equals_tf_with_levels_one(self, taxonomy, log):
         """The paper: TF(1, B) recovers MF(B) exactly."""
         cfg = TrainConfig(factors=4, epochs=3, seed=3)
-        mf = MFModel(taxonomy, cfg).fit(log)
-        tf1 = TaxonomyFactorModel(taxonomy, cfg, taxonomy_levels=1).fit(log)
+        mf = train_model(MFModel(taxonomy, cfg), log)
+        tf1 = train_model(TaxonomyFactorModel(taxonomy, cfg, taxonomy_levels=1), log)
         np.testing.assert_array_equal(
             mf.factor_set.w, tf1.factor_set.w
         )
@@ -65,7 +66,7 @@ class TestMFModel:
             log.n_users, taxonomy, 4, levels=1,
             with_next=False, init_scale=cfg.init_scale, seed=cfg.seed,
         )
-        trained = MFModel(taxonomy, cfg).fit(log)
+        trained = train_model(MFModel(taxonomy, cfg), log)
         internal = np.setdiff1d(np.arange(taxonomy.n_nodes), taxonomy.items)
         np.testing.assert_array_equal(
             trained.factor_set.w[internal], init.w[internal]
@@ -95,7 +96,8 @@ class TestFactories:
     def test_fpmc_trains_and_uses_history(self, taxonomy, log):
         model = fpmc_model(
             taxonomy, TrainConfig(factors=4, epochs=2, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         a = model.score_items(0, history=[np.array([0])])
         b = model.score_items(0, history=[np.array([6])])
         assert not np.allclose(a, b)

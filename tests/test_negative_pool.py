@@ -9,6 +9,7 @@ from repro.core.sgd import SGDTrainer
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -106,5 +107,6 @@ class TestTrainingEffect:
                 factors=4, epochs=3, taxonomy_levels=3,
                 negative_pool="purchased", seed=0,
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         assert np.isfinite(model.score_items(0)).all()

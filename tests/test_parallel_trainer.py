@@ -6,7 +6,7 @@ import pytest
 from repro.core.factors import FactorSet
 from repro.core.sgd import SGDTrainer
 from repro.data.transactions import TransactionLog
-from repro.parallel.trainer import ThreadedSGDTrainer
+from repro.parallel.trainer import ThreadedSGDEngine
 from repro.taxonomy.generator import complete_taxonomy
 from repro.utils.config import TrainConfig
 
@@ -35,24 +35,24 @@ class TestValidation:
         cfg = TrainConfig(markov_order=1, taxonomy_levels=3, seed=0)
         fs = FactorSet(log.n_users, taxonomy, 16, 3, seed=0)
         with pytest.raises(ValueError, match="markov_order"):
-            ThreadedSGDTrainer(fs, log, cfg)
+            ThreadedSGDEngine(fs, log, cfg)
 
     def test_rejects_sibling(self, taxonomy, log):
         cfg = TrainConfig(sibling_ratio=0.5, taxonomy_levels=3, seed=0)
         fs = FactorSet(log.n_users, taxonomy, 16, 3, with_next=False, seed=0)
         with pytest.raises(ValueError, match="sibling"):
-            ThreadedSGDTrainer(fs, log, cfg)
+            ThreadedSGDEngine(fs, log, cfg)
 
     def test_rejects_zero_threads(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
         with pytest.raises(ValueError):
-            ThreadedSGDTrainer(fs, log, config, n_threads=0)
+            ThreadedSGDEngine(fs, log, config, n_threads=0)
 
 
 class TestTraining:
     def test_loss_decreases_over_epochs(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        trainer = ThreadedSGDTrainer(fs, log, config, n_threads=3)
+        trainer = ThreadedSGDEngine(fs, log, config, n_threads=3)
         history = trainer.train(4)
         assert history[-1].loss < history[0].loss
 
@@ -60,7 +60,7 @@ class TestTraining:
         """Same algorithm, different visit order: losses should land in the
         same neighborhood as the vectorized serial trainer."""
         fs_threaded = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        threaded = ThreadedSGDTrainer(fs_threaded, log, config, n_threads=1)
+        threaded = ThreadedSGDEngine(fs_threaded, log, config, n_threads=1)
         threaded_loss = threaded.train(3)[-1].loss
 
         fs_serial = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
@@ -69,7 +69,7 @@ class TestTraining:
 
     def test_multithreaded_converges_with_cache(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        trainer = ThreadedSGDTrainer(
+        trainer = ThreadedSGDEngine(
             fs, log, config, n_threads=4, use_cache=True, cache_threshold=0.05
         )
         history = trainer.train(4)
@@ -78,12 +78,12 @@ class TestTraining:
 
     def test_pad_rows_zero_after_epoch(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 5, with_next=False, seed=0)
-        ThreadedSGDTrainer(fs, log, config, n_threads=2).train_epoch()
+        ThreadedSGDEngine(fs, log, config, n_threads=2).train_epoch()
         assert np.all(fs.w[-1] == 0)
 
     def test_stats_fields(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        stats = ThreadedSGDTrainer(fs, log, config, n_threads=2).train_epoch()
+        stats = ThreadedSGDEngine(fs, log, config, n_threads=2).train_epoch()
         assert stats.n_examples == log.n_purchases
         assert stats.lock_acquisitions > 0
         assert 0.0 <= stats.lock_contention_rate <= 1.0
@@ -92,7 +92,7 @@ class TestTraining:
 
     def test_hot_rows_are_internal_nodes(self, taxonomy, log, config):
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        trainer = ThreadedSGDTrainer(fs, log, config, n_threads=1)
+        trainer = ThreadedSGDEngine(fs, log, config, n_threads=1)
         assert trainer.hot[: taxonomy.n_nodes].sum() == (
             taxonomy.n_nodes - taxonomy.n_items
         )
@@ -102,7 +102,7 @@ class TestTraining:
         """The paper's Sec. 6.1 observation: internal rows are updated far
         more often per row than item rows — the motivation for caching."""
         fs = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        trainer = ThreadedSGDTrainer(fs, log, config, n_threads=1)
+        trainer = ThreadedSGDEngine(fs, log, config, n_threads=1)
         stats = trainer.train_epoch()
         n_internal = taxonomy.n_nodes - taxonomy.n_items
         internal_rate = stats.hot_row_updates / n_internal
@@ -112,11 +112,11 @@ class TestTraining:
 
     def test_caching_reduces_lock_acquisitions(self, taxonomy, log, config):
         fs1 = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        plain = ThreadedSGDTrainer(fs1, log, config, n_threads=2)
+        plain = ThreadedSGDEngine(fs1, log, config, n_threads=2)
         plain_stats = plain.train_epoch()
 
         fs2 = FactorSet(log.n_users, taxonomy, 4, 3, with_next=False, seed=0)
-        cached = ThreadedSGDTrainer(
+        cached = ThreadedSGDEngine(
             fs2, log, config, n_threads=2, use_cache=True, cache_threshold=0.5
         )
         cached_stats = cached.train_epoch()
@@ -125,5 +125,5 @@ class TestTraining:
     def test_mf_configuration_supported(self, taxonomy, log):
         cfg = TrainConfig(factors=4, taxonomy_levels=1, seed=0)
         fs = FactorSet(log.n_users, taxonomy, 4, 1, with_next=False, seed=0)
-        stats = ThreadedSGDTrainer(fs, log, cfg, n_threads=2).train_epoch()
+        stats = ThreadedSGDEngine(fs, log, cfg, n_threads=2).train_epoch()
         assert stats.n_examples == log.n_purchases

@@ -7,6 +7,7 @@ from repro.core.factors import FactorSet
 from repro.core.tf_model import NotFittedError, TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -43,7 +44,8 @@ class TestPartialFit:
     def test_continues_training(self, taxonomy, log):
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         w_before = model.factor_set.w.copy()
         model.partial_fit(epochs=2)
         assert len(model.history_) == 4
@@ -57,7 +59,8 @@ class TestPartialFit:
     def test_new_log_with_more_users(self, taxonomy, log):
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         bigger = TransactionLog(
             log.to_lists() + [[[3], [5]], [[7]]], n_items=8
         )
@@ -68,7 +71,8 @@ class TestPartialFit:
     def test_item_mismatch_rejected(self, taxonomy, log):
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         with pytest.raises(ValueError, match="item universe"):
             model.partial_fit(TransactionLog([[[0]]], n_items=3))
 
@@ -80,7 +84,8 @@ class TestPartialFit:
         log = TransactionLog(rows, n_items=8)
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         first = model.history_[-1].loss
         model.partial_fit(epochs=6)
         assert model.history_[-1].loss <= first * 1.1
@@ -88,7 +93,8 @@ class TestPartialFit:
     def test_preserves_existing_user_factors_on_growth(self, taxonomy, log):
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=1, taxonomy_levels=3, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         user0 = model.factor_set.user[0].copy()
         bigger = TransactionLog(
             log.to_lists() + [[[3]]], n_items=8

@@ -263,40 +263,9 @@ class TestApproximateFuzz:
 
 
 # ----------------------------------------------------------------------
-# fp16 factor pages: deterministic, validated
+# Approximate scans need an index built for them
 # ----------------------------------------------------------------------
-class TestFactorPages:
-    @pytest.mark.parametrize("page_dtype", ["float32", "float16"])
-    def test_paged_scan_is_deterministic_and_safe(self, page_dtype):
-        taxonomy, effective, bias = _catalog(seed=9)
-        index = SubtreeIndex(
-            effective, bias, taxonomy, approx=True, page_dtype=page_dtype
-        )
-        rng = np.random.default_rng(10)
-        queries = rng.normal(size=(8, FACTORS))
-        banned = [
-            rng.choice(taxonomy.n_items, 15, replace=False) for _ in queries
-        ]
-        first = index.top_k_budget(queries, 6, banned=banned, budget=40)
-        second = index.top_k_budget(queries, 6, banned=banned, budget=40)
-        assert np.array_equal(first.items, second.items)
-        assert np.array_equal(first.scores, second.scores)
-        for row in range(8):
-            real = first.items[row][first.items[row] >= 0]
-            assert np.intersect1d(real, banned[row]).size == 0
-
-    def test_page_dtype_requires_approx(self):
-        taxonomy, effective, bias = _catalog()
-        with pytest.raises(ValueError, match="approx"):
-            SubtreeIndex(effective, bias, taxonomy, page_dtype="float16")
-
-    def test_unknown_page_dtype_rejected(self):
-        taxonomy, effective, bias = _catalog()
-        with pytest.raises(ValueError, match="page_dtype"):
-            SubtreeIndex(
-                effective, bias, taxonomy, approx=True, page_dtype="int8"
-            )
-
+class TestApproxScanGuard:
     def test_exact_index_refuses_approx_scans(self):
         taxonomy, effective, bias = _catalog()
         index = SubtreeIndex(effective, bias, taxonomy)
@@ -352,11 +321,6 @@ class TestInvalidRetrievalConfigs:
     def test_nprobe_knob_requires_ivf_mode(self, factory, retrieval):
         with pytest.raises(ValueError, match="retrieval='ivf'"):
             factory(retrieval=retrieval, nprobe=4)
-
-    @pytest.mark.parametrize("retrieval", ["exact", "pruned"])
-    def test_page_dtype_requires_approximate_mode(self, factory, retrieval):
-        with pytest.raises(ValueError, match="budget/ivf"):
-            factory(retrieval=retrieval, page_dtype="float16")
 
     def test_nonpositive_knobs_rejected(self, factory):
         with pytest.raises(ValueError, match="budget must be >= 1"):

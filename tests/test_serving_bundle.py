@@ -305,31 +305,3 @@ class TestTaxonomyVersionPinning:
         path.write_text(json.dumps(manifest))
         bundle = ModelBundle.load(tmp_path / "b")
         _factor_sets_equal(bundle.model.factor_set, tf_model.factor_set)
-
-
-class TestLegacyShim:
-    def test_load_legacy_npz_with_warning(self, tf_model, split, tmp_path):
-        legacy = tmp_path / "model.npz"
-        tf_model.factor_set.save(legacy)
-        Path(str(legacy) + ".meta.json").write_text(
-            json.dumps({"levels": 4, "markov": 0, "mu": 0.5, "seed": 11})
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            bundle = ModelBundle.load_legacy(legacy, tf_model.taxonomy)
-        assert bundle.extra["mu"] == 0.5
-        _factor_sets_equal(bundle.model.factor_set, tf_model.factor_set)
-        restored = bundle.model.attach_log(split.train)
-        assert np.array_equal(restored.recommend(0, k=5), tf_model.recommend(0, k=5))
-
-    def test_legacy_levels_one_builds_mf(self, mf_model, tmp_path):
-        legacy = tmp_path / "mf.npz"
-        mf_model.factor_set.save(legacy)
-        Path(str(legacy) + ".meta.json").write_text(json.dumps({"levels": 1}))
-        with pytest.warns(DeprecationWarning):
-            bundle = ModelBundle.load_legacy(legacy, mf_model.taxonomy)
-        assert isinstance(bundle.model, MFModel)
-
-    def test_legacy_missing_file(self, tf_model, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(BundleError, match="no factor file"):
-                ModelBundle.load_legacy(tmp_path / "gone.npz", tf_model.taxonomy)

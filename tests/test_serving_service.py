@@ -14,6 +14,7 @@ from repro.serving.service import (
     RecommenderService,
     ServingError,
 )
+from repro.train import train_model
 from repro.utils.config import CascadeConfig
 
 
@@ -301,7 +302,8 @@ class TestStatsAndRefresh:
     def test_refresh_after_partial_fit(self, dataset, split):
         model = TaxonomyFactorModel(
             dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        )
+        train_model(model, split.train)
         service = RecommenderService(model)
         before = service.recommend(0, k=5)
         model.partial_fit(epochs=2)
@@ -325,7 +327,7 @@ class TestHotSwap:
         model = TaxonomyFactorModel(
             dataset.taxonomy, factors=8, epochs=4, seed=99
         )
-        return model.fit(split.train)
+        return train_model(model, split.train)
 
     def test_swap_serves_the_new_model(self, tf_model, retrained):
         service = RecommenderService(tf_model)
@@ -386,7 +388,8 @@ class TestHotSwap:
         """Swapping in a mutated copy must serve the mutation, cache included."""
         model = TaxonomyFactorModel(
             dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        )
+        train_model(model, split.train)
         service = RecommenderService(model)
         service.recommend(0, k=5)
         import copy as _copy
@@ -421,7 +424,8 @@ class TestHotSwap:
     def test_refresh_uses_the_swap_path(self, dataset, split):
         model = TaxonomyFactorModel(
             dataset.taxonomy, factors=8, epochs=2, seed=0
-        ).fit(split.train)
+        )
+        train_model(model, split.train)
         service = RecommenderService(model)
         generation = service.generation
         model.partial_fit(epochs=1)

@@ -6,6 +6,7 @@ import pytest
 from repro.streaming.events import ItemArrival, MicroBatch, PurchaseEvent
 from repro.streaming.updater import OnlineUpdater
 from repro.core.tf_model import TaxonomyFactorModel
+from repro.train import train_model
 
 
 @pytest.fixture()
@@ -90,7 +91,8 @@ class TestKnownUserUpdates:
         log = TransactionLog([[[0], [4]], [[2], [6]]], n_items=8)
         model = TaxonomyFactorModel(
             tiny_taxonomy, TrainConfig(factors=4, epochs=2, seed=0)
-        ).fit(log)
+        )
+        train_model(model, log)
         updater = OnlineUpdater(model, steps=1, seed=0)
 
         class ScriptedRng:
@@ -189,7 +191,8 @@ class TestItemOnboarding:
         model = TaxonomyFactorModel(
             tiny_taxonomy,
             TrainConfig(factors=4, epochs=3, taxonomy_levels=4, seed=0),
-        ).fit(log)
+        )
+        train_model(model, log)
         updater = OnlineUpdater(model, steps=4, seed=0)
         parent = int(tiny_taxonomy.parent[tiny_taxonomy.items[0]])
         n_before = updater.n_items

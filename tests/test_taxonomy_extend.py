@@ -9,6 +9,7 @@ from repro.data.transactions import TransactionLog
 from repro.taxonomy.extend import add_items
 from repro.taxonomy.generator import complete_taxonomy
 from repro.taxonomy.tree import TaxonomyError
+from repro.train import train_model
 from repro.utils.config import TrainConfig
 
 
@@ -185,7 +186,7 @@ class TestModelOnboarding:
         model = TaxonomyFactorModel(
             taxonomy, TrainConfig(factors=4, epochs=4, taxonomy_levels=4, seed=0)
         )
-        return model.fit(log)
+        return train_model(model, log)
 
     def test_onboard_returns_new_indices(self, fitted, taxonomy):
         category = int(taxonomy.parent[taxonomy.items[0]])

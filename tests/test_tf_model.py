@@ -6,6 +6,7 @@ import pytest
 from repro.core.tf_model import NotFittedError, TaxonomyFactorModel
 from repro.data.transactions import TransactionLog
 from repro.taxonomy.generator import complete_taxonomy
+from repro.train import SerialTrainer, train_model
 from repro.utils.config import TrainConfig
 
 
@@ -31,7 +32,7 @@ def fitted(taxonomy, log):
     model = TaxonomyFactorModel(
         taxonomy, TrainConfig(factors=4, epochs=3, taxonomy_levels=3, seed=0)
     )
-    return model.fit(log)
+    return train_model(model, log)
 
 
 class TestConstruction:
@@ -52,7 +53,7 @@ class TestConstruction:
     def test_fit_rejects_item_mismatch(self, taxonomy):
         model = TaxonomyFactorModel(taxonomy)
         with pytest.raises(ValueError, match="item universe"):
-            model.fit(TransactionLog([[[0]]], n_items=3))
+            SerialTrainer(model).train(TransactionLog([[[0]]], n_items=3))
 
 
 class TestScoring:
@@ -71,7 +72,8 @@ class TestScoring:
             TrainConfig(
                 factors=4, epochs=2, taxonomy_levels=3, markov_order=1, seed=0
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         default = model.score_items(1)
         explicit = model.score_items(1, history=log.user_transactions(1))
         np.testing.assert_allclose(default, explicit)
@@ -89,7 +91,8 @@ class TestScoring:
             TrainConfig(
                 factors=4, epochs=2, taxonomy_levels=3, markov_order=2, seed=1
             ),
-        ).fit(log)
+        )
+        train_model(model, log)
         users = np.array([0, 1])
         matrix = model.query_matrix(users)
         for row, user in enumerate(users):
@@ -136,11 +139,3 @@ class TestFactorsAccess:
         assert len(fitted.history_) == 3
         assert fitted.n_users == 3
         assert fitted.n_items == 8
-
-    def test_callback_invoked(self, taxonomy, log):
-        calls = []
-        model = TaxonomyFactorModel(
-            taxonomy, TrainConfig(factors=4, epochs=2, taxonomy_levels=3, seed=0)
-        )
-        model.fit(log, callback=lambda stats, trainer: calls.append(stats.epoch))
-        assert calls == [0, 1]

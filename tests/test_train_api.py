@@ -12,7 +12,7 @@ from repro import (
     generate_dataset,
     train_test_split,
 )
-from repro.parallel.trainer import ThreadedSGDEngine, ThreadedSGDTrainer
+from repro.parallel.trainer import ThreadedSGDEngine
 from repro.streaming.swap import CheckpointStore
 from repro.train import (
     CheckpointCallback,
@@ -205,57 +205,6 @@ class TestSerialThreadedEquivalence:
         model = TaxonomyFactorModel(data.taxonomy, config())
         with pytest.raises(ValueError, match="update"):
             SerialTrainer(model, update="bogus")
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims
-# ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_fit_matches_serial_trainer_bit_for_bit(self, data, split):
-        """The acceptance criterion: model.fit(...) ≡ SerialTrainer."""
-        cfg = config(sibling_ratio=0.5)
-        legacy = TaxonomyFactorModel(data.taxonomy, cfg)
-        with pytest.warns(DeprecationWarning, match="SerialTrainer"):
-            legacy.fit(split.train)
-        modern = TaxonomyFactorModel(data.taxonomy, cfg)
-        SerialTrainer(modern).train(split.train)
-        for a, b in zip(factor_arrays(legacy), factor_arrays(modern)):
-            assert np.array_equal(a, b)
-
-    def test_fit_legacy_callback_signature(self, data, split):
-        model = TaxonomyFactorModel(data.taxonomy, config(epochs=2))
-        calls = []
-        with pytest.warns(DeprecationWarning):
-            model.fit(
-                split.train,
-                callback=lambda stats, trainer: calls.append(
-                    (stats.epoch, type(trainer).__name__)
-                ),
-            )
-        assert calls == [(0, "SGDTrainer"), (1, "SGDTrainer")]
-
-    def test_threaded_sgd_trainer_warns_but_works(self, data, split):
-        from repro.core.factors import FactorSet
-
-        cfg = config()
-        fs = FactorSet(split.train.n_users, data.taxonomy, 8, 4, seed=0)
-        with pytest.warns(DeprecationWarning, match="ThreadedTrainer"):
-            shim = ThreadedSGDTrainer(fs, split.train, cfg, n_threads=2)
-        stats = shim.train_epoch()
-        assert stats.n_examples == split.train.n_purchases
-
-    def test_shim_matches_engine_exactly(self, data, split):
-        from repro.core.factors import FactorSet
-
-        cfg = config()
-        fs_shim = FactorSet(split.train.n_users, data.taxonomy, 8, 4, seed=0)
-        with pytest.warns(DeprecationWarning):
-            shim = ThreadedSGDTrainer(fs_shim, split.train, cfg, n_threads=1)
-        shim.train_epoch()
-        fs_engine = FactorSet(split.train.n_users, data.taxonomy, 8, 4, seed=0)
-        ThreadedSGDEngine(fs_engine, split.train, cfg, n_threads=1).train_epoch()
-        assert np.array_equal(fs_shim.user, fs_engine.user)
-        assert np.array_equal(fs_shim.w, fs_engine.w)
 
 
 # ----------------------------------------------------------------------
