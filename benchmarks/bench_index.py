@@ -60,7 +60,7 @@ from repro.core.factors import FactorSet  # noqa: E402
 from repro.core.tf_model import TaxonomyFactorModel  # noqa: E402
 from repro.core.topk import top_k_rows  # noqa: E402
 from repro.eval.recall import RecallCurve, sweep_recall  # noqa: E402
-from repro.serving.index import SubtreeIndex  # noqa: E402
+from repro.serving.index import RetrievalPlan, SubtreeIndex  # noqa: E402
 from repro.serving.service import RecommenderService  # noqa: E402
 from repro.taxonomy.tree import Taxonomy  # noqa: E402
 from repro.utils.config import TrainConfig  # noqa: E402
@@ -338,8 +338,8 @@ def bench_approx(
     id_queries = rng.normal(0.0, 0.3, size=(n_identity, FACTORS))
     id_banned = _banned_rows(n_identity, n_items, rng)
     exact_page = index.top_k(id_queries, k, banned=id_banned)
-    full_budget = index.top_k_budget(id_queries, k, banned=id_banned)
-    full_probe = index.top_k_ivf(id_queries, k, banned=id_banned)
+    full_budget = index.search(id_queries, k, id_banned, RetrievalPlan("budget"))
+    full_probe = index.search(id_queries, k, id_banned, RetrievalPlan("ivf"))
 
     def _mismatches(page) -> int:
         return int((page.items != exact_page.items).any(axis=1).sum())
@@ -360,8 +360,12 @@ def bench_approx(
     ivf_recall = recall_of[("ivf", gate_nprobe)]
 
     # Gate-knob ranking pages for the determinism digest.
-    budget_page = index.top_k_budget(queries, k, banned=banned, budget=gate_budget)
-    ivf_page = index.top_k_ivf(queries, k, banned=banned, nprobe=gate_nprobe)
+    budget_page = index.search(
+        queries, k, banned, RetrievalPlan("budget", budget=gate_budget)
+    )
+    ivf_page = index.search(
+        queries, k, banned, RetrievalPlan("ivf", nprobe=gate_nprobe)
+    )
 
     # Served throughput at the gate knobs, against the brute-force
     # users/sec measured on the same machine moments earlier.

@@ -188,7 +188,7 @@ from repro.utils.config import (
     save_spec,
 )
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "__version__",

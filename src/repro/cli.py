@@ -74,7 +74,8 @@ from repro.data.synthetic import generate_dataset
 from repro.data.transactions import TransactionLog
 from repro.eval.protocol import evaluate_cold_start, evaluate_model, evaluate_topk
 from repro.serving.bundle import MANIFEST_NAME, BundleError, ModelBundle
-from repro.serving.service import RETRIEVAL_MODES, RecommenderService
+from repro.serving.index import RETRIEVAL_MODES, RetrievalPlan
+from repro.serving.service import RecommenderService
 from repro.serving.sharding import ShardRouter, ShardingError
 from repro.streaming.events import events_from_transactions
 from repro.streaming.pipeline import StreamingPipeline
@@ -338,42 +339,30 @@ def _load_model(args) -> Tuple[TaxonomyFactorModel, TrainTestSplit, Dict]:
     return model, split, extra
 
 
-def _serving_retrieval(args, extra: Dict) -> str:
-    """Resolve ``--retrieval``: flag first, then the bundle's manifest hint.
-
-    A bundle saved with ``extra={"retrieval": "pruned"}`` (or ``"budget"``
-    / ``"ivf"``) serves that mode by default; the flag always wins.
-    """
-    value = args.retrieval or extra.get("retrieval", "exact")
-    if value not in RETRIEVAL_MODES:
-        raise SystemExit(
-            f"invalid retrieval mode {value!r} in the bundle manifest "
-            f"(expected one of {'/'.join(RETRIEVAL_MODES)})"
-        )
-    return value
-
-
-def _serving_knob(args, extra: Dict, name: str) -> Optional[int]:
-    """Resolve ``--budget`` / ``--nprobe``: flag first, then manifest hint.
+def _serving_plan(args, extra: Dict) -> RetrievalPlan:
+    """Resolve the retrieval plan: each flag beats the bundle's hint.
 
     A bundle saved with ``extra={"retrieval": "budget", "budget": 50000}``
-    carries its measured operating point with it; the flag always wins.
+    serves that mode at its measured operating point by default.
+    ``--retrieval`` overrides the hinted mode, and a ``budget``/``nprobe``
+    hint applies only while the resolved mode is the hinted one, so
+    ``--retrieval exact`` serves that bundle exactly instead of refusing
+    the orphaned budget.  Knob flags always apply (and are refused with
+    the wrong mode).
     """
-    value = getattr(args, name, None)
-    if value is None:
-        value = extra.get(name)
-    if value is None:
-        return None
+    hint = extra.get("retrieval", "exact")
+    mode = args.retrieval or hint
+    hinted = ["retrieval"] if args.retrieval is None and "retrieval" in extra else []
+    knobs = {name: getattr(args, name) for name in ("budget", "nprobe")}
+    for name, value in knobs.items():
+        if value is None and mode == hint and extra.get(name) is not None:
+            knobs[name] = extra[name]
+            hinted.append(name)
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise SystemExit(
-            f"invalid {name} {value!r} in the bundle manifest "
-            f"(expected a positive integer)"
-        )
-    if value < 1:
-        raise SystemExit(f"{name} must be >= 1, got {value}")
-    return value
+        return RetrievalPlan(mode, **knobs)
+    except ValueError as exc:
+        source = f" (bundle manifest hint: {', '.join(hinted)})" if hinted else ""
+        raise SystemExit(f"{exc}{source}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -504,15 +493,12 @@ def _flush_telemetry(args, registry, tracer: Optional[Tracer]) -> None:
 def cmd_serve_batch(args: argparse.Namespace) -> int:
     model, split, extra = _load_model(args)
     users = _serving_users(args, model)
+    plan = _serving_plan(args, extra)
     tracer = _telemetry_tracer(args)
     try:
         service = RecommenderService(
             model, history_log=split.train, cascade=_serving_cascade(args),
-            cache_size=args.cache_size,
-            retrieval=_serving_retrieval(args, extra),
-            budget=_serving_knob(args, extra, "budget"),
-            nprobe=_serving_knob(args, extra, "nprobe"),
-            tracer=tracer,
+            cache_size=args.cache_size, tracer=tracer, **plan.keywords(),
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -536,9 +522,7 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
     model, split, extra = _load_model(args)
     users = _serving_users(args, model)
     cascade = _serving_cascade(args)
-    retrieval = _serving_retrieval(args, extra)
-    budget = _serving_knob(args, extra, "budget")
-    nprobe = _serving_knob(args, extra, "nprobe")
+    plan = _serving_plan(args, extra)
     tracer = _telemetry_tracer(args)
     try:
         router = ShardRouter(
@@ -548,10 +532,8 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
             cascade=cascade,
             cache_size=args.cache_size,
             partition=args.partition,
-            retrieval=retrieval,
-            budget=budget,
-            nprobe=nprobe,
             tracer=tracer,
+            **plan.keywords(),
         )
     except (ValueError, ShardingError) as exc:
         raise SystemExit(str(exc))
@@ -567,8 +549,7 @@ def cmd_serve_sharded(args: argparse.Namespace) -> int:
         if args.verify:
             service = RecommenderService(
                 model, history_log=split.train, cascade=cascade,
-                cache_size=args.cache_size, retrieval=retrieval,
-                budget=budget, nprobe=nprobe,
+                cache_size=args.cache_size, **plan.keywords(),
             )
             reference = service.recommend_batch(users, k=args.k)
             if np.array_equal(recommendations, reference):
@@ -607,14 +588,11 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     from repro.gateway import Gateway, GatewayConfig
 
     model, split, extra = _load_model(args)
+    plan = _serving_plan(args, extra)
     tracer = _telemetry_tracer(args)
     try:
         service = RecommenderService(
-            model, history_log=split.train,
-            retrieval=_serving_retrieval(args, extra),
-            budget=_serving_knob(args, extra, "budget"),
-            nprobe=_serving_knob(args, extra, "nprobe"),
-            tracer=tracer,
+            model, history_log=split.train, tracer=tracer, **plan.keywords()
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -854,6 +832,22 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(args.rest)
 
 
+def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
+    """``--retrieval`` / ``--budget`` / ``--nprobe`` of every serve command."""
+    parser.add_argument("--retrieval", default=None, choices=RETRIEVAL_MODES,
+                        help="dense scoring, taxonomy-pruned exact retrieval "
+                             "(identical rankings, large-catalog fast path), "
+                             "or the approximate sub-linear tiers budget/ivf "
+                             "(rankings invariant to the shard count); "
+                             "default: bundle hint / exact")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="per-row node budget for --retrieval budget "
+                             "(default: bundle hint / scan everything)")
+    parser.add_argument("--nprobe", type=int, default=None,
+                        help="taxonomy cells probed per row for --retrieval "
+                             "ivf (default: bundle hint / probe everything)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -968,20 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cascade", type=float, default=None,
                        help="serve through a cascade keeping this fraction "
                             "per level (Sec. 5.1)")
-    serve.add_argument("--retrieval", default=None,
-                       choices=RETRIEVAL_MODES,
-                       help="dense scoring, taxonomy-pruned exact "
-                            "retrieval (identical rankings, large-catalog "
-                            "fast path), or the approximate sub-linear "
-                            "tiers budget/ivf; default: bundle hint / "
-                            "exact")
-    serve.add_argument("--budget", type=int, default=None,
-                       help="per-row node budget for --retrieval budget "
-                            "(default: bundle hint / scan everything)")
-    serve.add_argument("--nprobe", type=int, default=None,
-                       help="taxonomy cells probed per row for "
-                            "--retrieval ivf (default: bundle hint / "
-                            "probe everything)")
+    _add_retrieval_flags(serve)
     serve.add_argument("--cache-size", type=int, default=4096)
     serve.add_argument("--out", default=None,
                        help="write JSONL here instead of stdout")
@@ -1013,21 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--cascade", type=float, default=None,
                          help="serve through a cascade keeping this fraction "
                               "per level (users partition only)")
-    sharded.add_argument("--retrieval", default=None,
-                         choices=RETRIEVAL_MODES,
-                         help="dense scoring, taxonomy-pruned exact "
-                              "retrieval inside every shard (per-slice "
-                              "indexes in the item partition), or the "
-                              "approximate budget/ivf tiers (rankings "
-                              "invariant to the shard count); default: "
-                              "bundle hint / exact")
-    sharded.add_argument("--budget", type=int, default=None,
-                         help="per-row node budget for --retrieval budget "
-                              "(default: bundle hint / scan everything)")
-    sharded.add_argument("--nprobe", type=int, default=None,
-                         help="taxonomy cells probed per row for "
-                              "--retrieval ivf (default: bundle hint / "
-                              "probe everything)")
+    _add_retrieval_flags(sharded)
     sharded.add_argument("--cache-size", type=int, default=4096)
     sharded.add_argument("--verify", action="store_true",
                          help="also run the single-process service and fail "
@@ -1059,17 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--max-inflight", type=int, default=128,
                          help="admitted requests beyond which the edge "
                               "sheds with 429")
-    gateway.add_argument("--retrieval", default=None,
-                         choices=RETRIEVAL_MODES,
-                         help="backend retrieval mode (default: bundle "
-                              "hint / exact)")
-    gateway.add_argument("--budget", type=int, default=None,
-                         help="per-row node budget for --retrieval budget "
-                              "(default: bundle hint / scan everything)")
-    gateway.add_argument("--nprobe", type=int, default=None,
-                         help="taxonomy cells probed per row for "
-                              "--retrieval ivf (default: bundle hint / "
-                              "probe everything)")
+    _add_retrieval_flags(gateway)
     gateway.add_argument("--duration", type=float, default=None,
                          help="serve for this many seconds then exit "
                               "(default: run until interrupted)")

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.index import SubtreeIndex
+from repro.serving.index import RetrievalPlan, SubtreeIndex
 
 
 def recall_vs_reference(
@@ -215,18 +215,18 @@ def sweep_recall(
     points: List[RecallPoint] = []
     n_rows = int(queries.shape[0])
     brute_nodes = max(1, n_rows * index.n_indexed)
-    grids = [("budget", index.top_k_budget, "budget", budgets),
-             ("ivf", index.top_k_ivf, "nprobe", nprobes)]
-    for mode, scan, knob_name, knob_values in grids:
+    grids = [("budget", "budget", budgets), ("ivf", "nprobe", nprobes)]
+    for mode, knob_name, knob_values in grids:
         for knob in knob_values:
+            plan = RetrievalPlan(mode, **{knob_name: knob})
             started = time.perf_counter()
             for _ in range(repeats):
-                page = scan(queries, k, banned=banned, **{knob_name: knob})
+                page = index.search(queries, k, banned, plan)
             seconds = max(time.perf_counter() - started, 1e-12)
             points.append(
                 RecallPoint(
                     mode=mode,
-                    knob=None if knob is None else int(knob),
+                    knob=getattr(plan, knob_name),
                     recall=recall_vs_reference(
                         page.items, reference.items
                     ),

@@ -21,7 +21,8 @@ Five pieces turn the trained models into a deployable system:
   with ``retrieval="pruned"``, plus the sub-linear
   approximate-but-deterministic tiers ``retrieval="budget"`` (bounded
   node budget per row) and ``retrieval="ivf"`` (top-``nprobe`` taxonomy
-  cells, optional fp16 factor pages) for catalogs past ~1M items;
+  cells) for catalogs past ~1M items, each one
+  :class:`~repro.serving.index.RetrievalPlan` behind ``search``;
 * :class:`~repro.serving.sharding.ShardRouter` — the multi-process fleet:
   factor matrices published once via ``multiprocessing.shared_memory``,
   N shard workers each hosting a full service over zero-copy views, user
@@ -45,11 +46,15 @@ Quickstart::
 
 from repro.serving.bundle import BUNDLE_VERSION, BundleError, ModelBundle
 from repro.serving.coldstart import FoldInRecommender
-from repro.serving.index import RetrievalPage, SubtreeIndex
-from repro.serving.protocol import Recommender
-from repro.serving.service import (
+from repro.serving.index import (
     APPROX_RETRIEVAL_MODES,
     RETRIEVAL_MODES,
+    RetrievalPage,
+    RetrievalPlan,
+    SubtreeIndex,
+)
+from repro.serving.protocol import Recommender
+from repro.serving.service import (
     ModelState,
     QueryVectorCache,
     RecommenderService,
@@ -88,4 +93,5 @@ __all__ = [
     "shard_of",
     "SubtreeIndex",
     "RetrievalPage",
+    "RetrievalPlan",
 ]

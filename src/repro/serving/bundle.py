@@ -64,13 +64,16 @@ class ModelBundle:
         Free-form JSON-serializable metadata carried in the manifest
         (the CLI stores its split parameters here).  Three keys are
         serving-significant: ``"retrieval"`` (one of
-        :data:`~repro.serving.service.RETRIEVAL_MODES`) records how the
+        :data:`~repro.serving.index.RETRIEVAL_MODES`) records how the
         bundle should be served, and ``"budget"`` / ``"nprobe"`` carry
-        the measured operating point of the approximate modes — the
-        ``serve-batch`` / ``serve-sharded`` / ``gateway`` commands use
-        them as defaults when the matching flag is not given, so a
+        the measured operating point of the approximate modes, so a
         large-catalog bundle ships with its retrieval tier and knobs
-        chosen at save time.
+        chosen at save time.  The ``serve-batch`` / ``serve-sharded`` /
+        ``gateway`` commands use them as defaults when the matching flag
+        is not given; a knob hint applies only while the served mode is
+        the hinted ``"retrieval"`` (``--retrieval exact`` on a
+        ``"budget"`` bundle serves exactly), and knobs must be integers
+        >= 1.
 
     Examples
     --------

@@ -55,33 +55,35 @@ Approximate tiers (``approx=True``)
 -----------------------------------
 Exactness caps how much the bound-ordered scan can skip: past ~1M items
 the strict stop rule still touches most groups.  An index built with
-``approx=True`` additionally supports two *sub-linear* query modes that
-trade recall for throughput while staying **deterministic**:
+``approx=True`` additionally serves two *sub-linear* plans through
+:meth:`SubtreeIndex.search` that trade recall for throughput while
+staying **deterministic**:
 
-* :meth:`SubtreeIndex.top_k_budget` — the paper's cascaded-inference
+* ``RetrievalPlan("budget", budget=n)`` — the paper's cascaded-inference
   idea: per row, rank the subtree cells by the same Cauchy–Schwarz bound
-  and stop selecting once the cumulative catalog-wide cell size reaches a
-  node *budget*; only items of selected cells are scored.
-* :meth:`SubtreeIndex.top_k_ivf` — classic IVF probing with the taxonomy
-  as the coarse quantizer: per row, score only the top-``nprobe`` cells
-  by centroid affinity.
+  and stop selecting once the cumulative catalog-wide cell size reaches
+  a node *budget*; only items of selected cells are scored.
+* ``RetrievalPlan("ivf", nprobe=n)`` — classic IVF probing with the
+  taxonomy as the coarse quantizer: per row, score only the
+  top-``nprobe`` cells by centroid affinity.
 
-Both modes select cells per row from **catalog-global** statistics (an
+Both select cells per row from **catalog-global** statistics (an
 item-sliced shard still ranks the full catalog's cells and then scores
 only its local members), so the selected candidate set — and therefore
-the merged ranking — is a pure function of (model, knob): byte-identical
-across runs *and* across shard counts.  ``budget=None`` / ``nprobe=None``
-(or any knob covering every cell) selects the whole catalog and is
-bit-identical to :meth:`SubtreeIndex.top_k` / the dense pass; recall@k is monotone non-decreasing in the knob
-because a larger budget/nprobe only ever *adds* cells to each row's
-selection.
+the merged ranking — is a pure function of (model, plan): byte-identical
+across runs *and* across shard counts.  A knob of ``None`` (or any knob
+covering every cell) selects the whole catalog and is bit-identical to
+:meth:`SubtreeIndex.top_k` / the dense pass; recall@k is monotone
+non-decreasing in the knob because a larger budget/nprobe only ever
+*adds* cells to each row's selection.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +93,170 @@ from repro.taxonomy.tree import Taxonomy
 #: Relative inflation applied to precomputed radii/bias caps so float
 #: rounding in the bound arithmetic can never undercut a true score.
 _BOUND_SLACK = 1e-9
+
+#: Every known-user ranking strategy the serving layer accepts: two exact
+#: ("exact" dense pass, "pruned" SubtreeIndex scan with bit-identical
+#: output) and two approximate-but-deterministic ("budget" bound-ordered
+#: scan under a node budget, "ivf" top-nprobe cell probing).
+RETRIEVAL_MODES = ("exact", "pruned", "budget", "ivf")
+
+#: The subset of :data:`RETRIEVAL_MODES` that trades recall for speed.
+#: Same model + same knobs still means byte-identical rankings across
+#: runs and shard counts — approximate refers to recall, not determinism.
+APPROX_RETRIEVAL_MODES = ("budget", "ivf")
+
+#: The one mode each knob applies to.
+_KNOB_MODES = {"budget": "budget", "nprobe": "ivf"}
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """*value* as a plain int >= *minimum*; refuses floats, bools, strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+@dataclass(frozen=True)
+class RetrievalPlan:
+    """How known users are ranked against the catalog, as one value.
+
+    Built once — by :class:`~repro.serving.service.RecommenderService`
+    and :class:`~repro.serving.sharding.ShardRouter` from their
+    ``retrieval=``/``budget=``/``nprobe=`` keywords, or by the CLI from
+    its flags and the bundle's hints — and handed unchanged to every
+    :meth:`SubtreeIndex.search`, in process or inside a shard worker.
+    The constructor is the only place a mode or a knob is validated.
+
+    Attributes
+    ----------
+    mode:
+        One of :data:`RETRIEVAL_MODES`.
+    budget:
+        Per-row node budget of ``"budget"`` (``None`` = scan everything,
+        the exact ranking); refused with any other mode.
+    nprobe:
+        Cells probed per row by ``"ivf"`` (``None`` = probe everything);
+        refused with any other mode.
+    level:
+        Taxonomy depth of the index's subtree grouping (``None`` = auto),
+        a build-time setting (the service's ``index_level=``).
+
+    Knobs are integers — Python or numpy, never ``bool`` — at least 1
+    (``level`` at least 0); anything else is refused, not truncated.
+
+    Examples
+    --------
+    >>> RetrievalPlan("ivf", nprobe=4)
+    RetrievalPlan(mode='ivf', budget=None, nprobe=4, level=None)
+    >>> RetrievalPlan("budget", budget=7.9)
+    Traceback (most recent call last):
+        ...
+    ValueError: budget must be an integer, got 7.9
+    """
+
+    mode: str = "exact"
+    budget: Optional[int] = None
+    nprobe: Optional[int] = None
+    level: Optional[int] = None
+
+    def __post_init__(self):
+        if self.mode not in RETRIEVAL_MODES:
+            raise ValueError(
+                f"retrieval must be one of {'/'.join(RETRIEVAL_MODES)}, "
+                f"got {self.mode!r}"
+            )
+        for name, mode in _KNOB_MODES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if self.mode != mode:
+                raise ValueError(
+                    f"{name}= only applies to retrieval={mode!r}, "
+                    f"got retrieval={self.mode!r}"
+                )
+            object.__setattr__(self, name, _count(name, value, 1))
+        if self.level is not None:
+            object.__setattr__(self, "level", _count("level", self.level, 0))
+
+    @property
+    def indexed(self) -> bool:
+        """Whether a :class:`SubtreeIndex` serves it (all but ``"exact"``)."""
+        return self.mode != "exact"
+
+    @property
+    def approx(self) -> bool:
+        """Whether its index must be built with ``approx=True``."""
+        return self.mode in APPROX_RETRIEVAL_MODES
+
+    def keywords(self) -> dict:
+        """The ``retrieval=``/``budget=``/``nprobe=`` keywords that rebuild
+        this plan on :class:`~repro.serving.service.RecommenderService` or
+        :class:`~repro.serving.sharding.ShardRouter` (``level`` travels as
+        the service's ``index_level=``)."""
+        return {"retrieval": self.mode, "budget": self.budget, "nprobe": self.nprobe}
+
+    def check_cascade(self, cascade) -> None:
+        """Refuse an index-backed plan together with cascaded inference.
+
+        Shared by the service and the shard router, so a fleet and a
+        single process refuse the same configurations with the same
+        message.
+        """
+        if self.indexed and cascade is not None:
+            raise ValueError(
+                f"retrieval={self.mode!r} already prunes the catalog scan "
+                "('pruned' exactly, 'budget'/'ivf' approximately) and cannot "
+                "be combined with cascaded (approximate) inference; drop one"
+            )
+
+
+def _bound_stats(
+    effective: np.ndarray, bias: np.ndarray, groups: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-group centroid, slack-inflated covering radius and max bias."""
+    centroids = np.zeros((len(groups), effective.shape[1]))
+    radii = np.zeros(len(groups))
+    max_bias = np.zeros(len(groups))
+    for g, rows in enumerate(groups):
+        block = effective[rows]
+        centroids[g] = block.mean(axis=0)
+        radii[g] = np.sqrt(((block - centroids[g]) ** 2).sum(axis=1).max())
+        max_bias[g] = bias[rows].max()
+    scale = np.abs(max_bias) + radii + 1.0
+    return centroids, radii + _BOUND_SLACK * scale, max_bias
+
+
+def _bounds(queries, centroids, radii, max_bias) -> np.ndarray:
+    """Cauchy–Schwarz caps ``q·c_g + ||q||·r_g + max_bias_g`` per row, group."""
+    norms = np.linalg.norm(queries, axis=1)
+    return queries @ centroids.T + norms[:, None] * radii[None, :] + max_bias[None, :]
+
+
+def _ban(
+    scores: np.ndarray,
+    rows: np.ndarray,
+    query_rows: np.ndarray,
+    banned_rows: Optional[List[Optional[np.ndarray]]],
+) -> None:
+    """Score ``-inf`` where a query's banned row is among the scored *rows*.
+
+    ``scores[slot]`` belongs to batch row ``query_rows[slot]``; *rows* are
+    the ascending snapshot rows its columns scored.
+    """
+    if banned_rows is None:
+        return
+    for slot, row in enumerate(query_rows):
+        hits = banned_rows[row]
+        if hits is None:
+            continue
+        at = np.searchsorted(rows, hits)
+        inside = at < rows.size
+        at, hits = at[inside], hits[inside]
+        at = at[rows[at] == hits]
+        if at.size:
+            scores[slot, at] = -np.inf
 
 
 @dataclass(frozen=True)
@@ -153,7 +319,7 @@ class SubtreeIndex:
         is one worthwhile GEMM instead of one tiny GEMV per subtree.
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; each
-        :meth:`top_k` call then records its wall time in the
+        :meth:`top_k` / :meth:`search` call then records its wall time in the
         ``repro_index_scan_seconds`` histogram and its work in the
         ``repro_index_nodes_scored_total`` / ``repro_index_rows_total``
         counters (pruning effectiveness = nodes scored per row versus
@@ -163,7 +329,7 @@ class SubtreeIndex:
         catalog-**global** cell statistics (anchors, centroids, radii,
         sizes at :attr:`level`, computed over *all* ``n_catalog`` items
         even when *items* restricts the scan to a slice) that
-        :meth:`top_k_budget` and :meth:`top_k_ivf` select cells from.
+        the approximate plans of :meth:`search` select cells from.
         Global statistics are what make the approximate modes invariant
         to sharding: every item-sliced index ranks the same cells with
         the same keys, so the union of the slices' candidates is exactly
@@ -301,20 +467,9 @@ class SubtreeIndex:
             [rows.size for rows in self._group_rows], dtype=np.int64
         )
 
-        centroids = np.zeros((len(groups), self._eff.shape[1]))
-        radii = np.zeros(len(groups))
-        max_bias = np.zeros(len(groups))
-        for g, rows in enumerate(self._group_rows):
-            block = self._eff[rows]
-            centroids[g] = block.mean(axis=0)
-            radii[g] = np.sqrt(
-                ((block - centroids[g]) ** 2).sum(axis=1).max()
-            )
-            max_bias[g] = self._bias[rows].max()
-        scale = np.abs(max_bias) + radii + 1.0
-        self._centroids = centroids
-        self._radii = radii + _BOUND_SLACK * scale
-        self._max_bias = max_bias
+        self._centroids, self._radii, self._max_bias = _bound_stats(
+            self._eff, self._bias, self._group_rows
+        )
 
         # Approximate-mode cell statistics, always over the FULL catalog:
         # item-sliced shard indexes must rank identical cells with
@@ -333,24 +488,15 @@ class SubtreeIndex:
                 self._cell_anchors = np.asarray(
                     [node for node, _members in cells], dtype=np.int64
                 )
-                n_cells = len(cells)
-                cell_centroids = np.zeros((n_cells, effective.shape[1]))
-                cell_radii = np.zeros(n_cells)
-                cell_max_bias = np.zeros(n_cells)
-                cell_sizes = np.zeros(n_cells, dtype=np.int64)
-                for c, (_node, members) in enumerate(cells):
-                    block = effective[members]
-                    cell_centroids[c] = block.mean(axis=0)
-                    cell_radii[c] = np.sqrt(
-                        ((block - cell_centroids[c]) ** 2).sum(axis=1).max()
-                    )
-                    cell_max_bias[c] = bias[members].max()
-                    cell_sizes[c] = members.size
-                cell_scale = np.abs(cell_max_bias) + cell_radii + 1.0
-                self._cell_centroids = cell_centroids
-                self._cell_radii = cell_radii + _BOUND_SLACK * cell_scale
-                self._cell_max_bias = cell_max_bias
-                self._cell_sizes = cell_sizes
+                members = [rows for _node, rows in cells]
+                (
+                    self._cell_centroids,
+                    self._cell_radii,
+                    self._cell_max_bias,
+                ) = _bound_stats(effective, bias, members)
+                self._cell_sizes = np.asarray(
+                    [rows.size for rows in members], dtype=np.int64
+                )
             # Position of each locally-present cell in the global ranking.
             self._local_cell = np.searchsorted(
                 self._cell_anchors, self.anchors
@@ -374,9 +520,9 @@ class SubtreeIndex:
         """Catalog-global cell count the approximate modes select from.
 
         Raises :class:`ValueError` unless built with ``approx=True``.
-        ``nprobe >= n_cells`` makes :meth:`top_k_ivf` exhaustive, the
-        same way ``budget >= n_indexed_catalog`` does for
-        :meth:`top_k_budget`.
+        ``nprobe >= n_cells`` makes an ``"ivf"`` :meth:`search`
+        exhaustive, the same way ``budget >= n_catalog`` does for a
+        ``"budget"`` one.
         """
         self._require_approx("n_cells")
         return int(self._cell_anchors.size)
@@ -429,6 +575,9 @@ class SubtreeIndex:
     ) -> RetrievalPage:
         """Exact top-``k`` of the indexed items for a batch of queries.
 
+        The reference scan (:meth:`search` under an ``"exact"`` or
+        ``"pruned"`` plan).
+
         Parameters
         ----------
         queries:
@@ -446,6 +595,61 @@ class SubtreeIndex:
         A :class:`RetrievalPage` whose ``items`` are bit-identical to
         ``top_k_rows`` over the dense scores of the indexed items.
         """
+        return self.search(queries, k, banned)
+
+    def search(
+        self,
+        queries: np.ndarray,
+        k: int,
+        banned: Optional[Sequence[Optional[np.ndarray]]] = None,
+        plan: RetrievalPlan = RetrievalPlan(),
+    ) -> RetrievalPage:
+        """Top-``k`` under *plan* — the one entry point of every serving path.
+
+        Takes the arguments of :meth:`top_k` plus the plan.  ``"exact"``
+        and ``"pruned"`` plans run the exact scan.  The approximate plans
+        need an index built with ``approx=True`` and score only a per-row
+        selection of the catalog-global cells:
+
+        * ``"budget"`` — the paper's cascaded-inference idea on the
+          index's own ordering: cells are ranked by the same
+          Cauchy–Schwarz bound the exact scan orders by and selected
+          until the cumulative catalog-global cell size reaches
+          ``plan.budget``, so the budget caps the dot products a row may
+          spend, to within one cell (at least one cell is always
+          selected);
+        * ``"ivf"`` — the subtrees as an IVF coarse quantizer: cells are
+          ranked by centroid affinity ``q·c_g + max_bias_g`` and only the
+          top ``plan.nprobe`` are scored.
+
+        Ties in the cell ranking break by ascending cell anchor.  A knob
+        of ``None`` (or one covering every cell) selects the whole
+        catalog and returns the exact ranking bit-for-bit; a larger knob
+        only adds cells to each row's selection, so recall@k is monotone
+        in it.  Because the selection is catalog-global even on an
+        item-sliced index, merged shard pages reproduce the
+        single-process ranking byte-for-byte for any shard count.
+        ``plan.level`` is a build-time setting and is not read here.
+
+        Examples
+        --------
+        >>> import numpy as np
+        >>> from repro.taxonomy.tree import Taxonomy
+        >>> tax = Taxonomy([-1, 0, 0, 1, 1, 2, 2])
+        >>> rng = np.random.default_rng(0)
+        >>> eff, bias = rng.normal(size=(4, 3)), rng.normal(size=4)
+        >>> index = SubtreeIndex(eff, bias, tax, level=1, approx=True)
+        >>> queries = rng.normal(size=(2, 3))
+        >>> plan = RetrievalPlan("budget", budget=4)
+        >>> exhaustive = index.search(queries, 2, plan=plan)
+        >>> bool(np.array_equal(exhaustive.items, index.top_k(queries, 2).items))
+        True
+        """
+        if plan.approx:
+            self._require_approx(f"retrieval={plan.mode!r}")
+            scan = functools.partial(self._scan_cells, plan=plan)
+        else:
+            scan = self._scan_exact
         started = time.perf_counter()
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
@@ -462,24 +666,37 @@ class SubtreeIndex:
             raise ValueError(
                 f"got {len(banned)} banned rows for {n_rows} queries"
             )
+        # Each scan fills the padded page in place and reports its work.
+        nodes_scored, groups_scanned = scan(
+            queries, self._resolve_banned(banned, n_rows), items_out, scores_out
+        )
+        if self._scan_seconds is not None:
+            self._scan_seconds.observe(
+                max(0.0, time.perf_counter() - started)
+            )
+            self._nodes_counter.inc(nodes_scored)
+            self._rows_counter.inc(n_rows)
+        return RetrievalPage(items_out, scores_out, nodes_scored, groups_scanned)
 
+    def _scan_exact(
+        self,
+        queries: np.ndarray,
+        banned_rows: Optional[List[Optional[np.ndarray]]],
+        items_out: np.ndarray,
+        scores_out: np.ndarray,
+    ) -> Tuple[int, int]:
+        """Blocked descending-bound scan with a per-row strict early stop."""
+        width = items_out.shape[1]
         # Stage 1: per-row group bounds, one shared scan order (by mean
         # bound), and per-row suffix maxima so each row knows the best
         # bound among the groups it has not scanned yet.
-        norms = np.linalg.norm(queries, axis=1)
-        bounds = (
-            queries @ self._centroids.T
-            + norms[:, None] * self._radii[None, :]
-            + self._max_bias[None, :]
-        )
+        bounds = _bounds(queries, self._centroids, self._radii, self._max_bias)
         shared = np.argsort(-bounds.mean(axis=0), kind="stable")
         ordered = bounds[:, shared]
         suffix = np.maximum.accumulate(ordered[:, ::-1], axis=1)[:, ::-1]
 
-        banned_rows = self._resolve_banned(banned, n_rows)
-
         # Stage 2: blocked descending-bound scan with per-row early stop.
-        active = np.arange(n_rows)
+        active = np.arange(queries.shape[0])
         nodes_scored = 0
         groups_scanned = 0
         n_groups = self.n_groups
@@ -507,17 +724,7 @@ class SubtreeIndex:
             scores = queries[active] @ self._eff[rows].T + self._bias[rows]
             nodes_scored += scores.size
             groups_scanned += g_end - g_pos
-            if banned_rows is not None:
-                for slot, row in enumerate(active):
-                    hits = banned_rows[row]
-                    if hits is None:
-                        continue
-                    at = np.searchsorted(rows, hits)
-                    inside = at < rows.size
-                    at, hits = at[inside], hits[inside]
-                    at = at[rows[at] == hits]
-                    if at.size:
-                        scores[slot, at] = -np.inf
+            _ban(scores, rows, active, banned_rows)
             local = top_k_rows(scores, width)
             looked = np.clip(local, 0, None)
             page_scores = np.take_along_axis(scores, looked, axis=1)
@@ -531,163 +738,62 @@ class SubtreeIndex:
             items_out[active] = merged_items
             scores_out[active] = merged_scores
             g_pos = g_end
-        if self._scan_seconds is not None:
-            self._scan_seconds.observe(
-                max(0.0, time.perf_counter() - started)
-            )
-            self._nodes_counter.inc(nodes_scored)
-            self._rows_counter.inc(n_rows)
-        return RetrievalPage(items_out, scores_out, nodes_scored, groups_scanned)
-
-    # ------------------------------------------------------------------
-    # Approximate query modes (require approx=True)
-    # ------------------------------------------------------------------
-    def top_k_budget(
-        self,
-        queries: np.ndarray,
-        k: int,
-        banned: Optional[Sequence[Optional[np.ndarray]]] = None,
-        budget: Optional[int] = None,
-    ) -> RetrievalPage:
-        """Budgeted top-``k``: scan cells in bound order until *budget* nodes.
-
-        The paper's cascaded-inference idea on the index's own ordering
-        machinery: per row, cells are ranked by the same Cauchy–Schwarz
-        bound the exact scan orders by (ties broken by ascending cell
-        anchor), and cells are selected until the cumulative
-        catalog-global cell size reaches *budget* — so *budget* caps the
-        dot products a row may spend, to within one cell.  At least one
-        cell is always selected; ``budget=None`` (or any value covering
-        the whole catalog) selects every cell and returns the exact
-        ranking bit-for-bit.
-
-        Cell sizes and bounds are catalog-global even on an item-sliced
-        index (each slice then scores only its local members of the
-        selected cells), so merged shard pages reproduce the
-        single-process ranking byte-for-byte for any shard count.
-
-        Examples
-        --------
-        >>> import numpy as np
-        >>> from repro.taxonomy.tree import Taxonomy
-        >>> tax = Taxonomy([-1, 0, 0, 1, 1, 2, 2])
-        >>> rng = np.random.default_rng(0)
-        >>> eff, bias = rng.normal(size=(4, 3)), rng.normal(size=4)
-        >>> index = SubtreeIndex(eff, bias, tax, level=1, approx=True)
-        >>> queries = rng.normal(size=(2, 3))
-        >>> exhaustive = index.top_k_budget(queries, k=2, budget=4)
-        >>> bool(np.array_equal(exhaustive.items, index.top_k(queries, 2).items))
-        True
-        """
-        self._require_approx("top_k_budget")
-        if budget is not None and int(budget) < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        return self._top_k_selected(
-            queries, k, banned, mode="budget", knob=budget
-        )
-
-    def top_k_ivf(
-        self,
-        queries: np.ndarray,
-        k: int,
-        banned: Optional[Sequence[Optional[np.ndarray]]] = None,
-        nprobe: Optional[int] = None,
-    ) -> RetrievalPage:
-        """IVF top-``k``: probe only the best *nprobe* cells per row.
-
-        The taxonomy subtrees act as an IVF coarse quantizer: per row the
-        catalog-global cells are ranked by centroid affinity
-        ``q·c_g + max_bias_g`` (ties broken by ascending cell anchor) and
-        only the top ``nprobe`` are scored.  ``nprobe=None`` (or
-        ``>= n_cells``) probes everything and returns the exact ranking
-        bit-for-bit.  Selection sets are
-        nested in ``nprobe``, so recall@k is monotone non-decreasing in
-        it; like :meth:`top_k_budget`, the selection is catalog-global
-        and therefore invariant to item slicing.
-        """
-        self._require_approx("top_k_ivf")
-        if nprobe is not None and int(nprobe) < 1:
-            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-        return self._top_k_selected(
-            queries, k, banned, mode="ivf", knob=nprobe
-        )
+        return nodes_scored, groups_scanned
 
     def _select_cells(
-        self, queries: np.ndarray, mode: str, knob: Optional[int]
+        self, queries: np.ndarray, plan: RetrievalPlan
     ) -> np.ndarray:
         """Per-row boolean selection over the catalog-global cells.
 
-        A pure per-row function of (model statistics, *knob*): no batch
+        A pure per-row function of (model statistics, *plan*): no batch
         aggregate enters the keys, so a row selects the same cells
         whatever batch — or shard — it arrives in.  Selections are
         nested in the knob (a prefix of the same per-row cell ranking),
-        which is what makes recall monotone in budget/nprobe.
+        which is what makes recall monotone in budget/nprobe.  ``ivf`` is
+        the budget rule with a unit cost per cell.
         """
         n_cells = self._cell_anchors.size
-        if mode == "budget":
-            norms = np.linalg.norm(queries, axis=1)
-            keys = (
-                queries @ self._cell_centroids.T
-                + norms[:, None] * self._cell_radii[None, :]
-                + self._cell_max_bias[None, :]
+        budgeted = plan.mode == "budget"
+        knob = plan.budget if budgeted else plan.nprobe
+        if knob is None:
+            return np.ones((queries.shape[0], n_cells), dtype=bool)
+        if budgeted:
+            keys = _bounds(
+                queries, self._cell_centroids, self._cell_radii, self._cell_max_bias
             )
+            cost = self._cell_sizes
         else:
             keys = queries @ self._cell_centroids.T + self._cell_max_bias
+            cost = np.ones(n_cells, dtype=np.int64)
         # Full per-row ranking under the global (key desc, cell asc)
         # order — cell positions are ascending anchors, so top_k_rows'
         # ascending-index tie-break is the ascending-anchor tie-break.
         order = top_k_rows(keys, n_cells)
-        if mode == "budget":
-            if knob is None:
-                picked = np.ones(order.shape, dtype=bool)
-            else:
-                sizes = self._cell_sizes[order]
-                started = np.cumsum(sizes, axis=1) - sizes
-                picked = started < int(knob)
-        else:
-            picked = np.zeros(order.shape, dtype=bool)
-            picked[:, : n_cells if knob is None else min(int(knob), n_cells)] = True
+        sizes = cost[order]
+        spent = np.cumsum(sizes, axis=1) - sizes
         selected = np.zeros(order.shape, dtype=bool)
-        np.put_along_axis(selected, order, picked, axis=1)
+        np.put_along_axis(selected, order, spent < knob, axis=1)
         return selected
 
-    def _top_k_selected(
+    def _scan_cells(
         self,
         queries: np.ndarray,
-        k: int,
-        banned: Optional[Sequence[Optional[np.ndarray]]],
-        mode: str,
-        knob: Optional[int],
-    ) -> RetrievalPage:
+        banned_rows: Optional[List[Optional[np.ndarray]]],
+        items_out: np.ndarray,
+        scores_out: np.ndarray,
+        plan: RetrievalPlan,
+    ) -> Tuple[int, int]:
         """Score only the selected cells; merge under the global order."""
-        started = time.perf_counter()
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError(
-                f"queries must be 2-d, got shape {queries.shape}"
-            )
-        n_rows = queries.shape[0]
-        width = min(int(k), self.n_indexed)
-        items_out = np.full((n_rows, width), PAD_ITEM, dtype=np.int64)
-        scores_out = np.full((n_rows, width), -np.inf)
-        if width <= 0 or n_rows == 0 or self.n_groups == 0:
-            return RetrievalPage(items_out, scores_out, 0, 0)
-        if banned is not None and len(banned) != n_rows:
-            raise ValueError(
-                f"got {len(banned)} banned rows for {n_rows} queries"
-            )
-        selected = self._select_cells(queries, mode, knob)
-        banned_rows = self._resolve_banned(banned, n_rows)
-
         # Candidate pool: per row, the local members of its selected
         # cells, gathered into one padded (ids, scores) page and merged
         # once under the global (score desc, item asc) order.  Pad slots
         # carry (PAD_ITEM, -inf), which the merge never promotes.
-        local_selected = selected[:, self._local_cell]
+        n_rows = queries.shape[0]
+        local_selected = self._select_cells(queries, plan)[:, self._local_cell]
         counts = (local_selected * self._group_sizes[None, :]).sum(axis=1)
-        pool = int(counts.max()) if counts.size else 0
+        pool = int(counts.max())  # the batch has at least one row
         if pool == 0:
-            return RetrievalPage(items_out, scores_out, 0, 0)
+            return 0, 0
         pool_items = np.full((n_rows, pool), PAD_ITEM, dtype=np.int64)
         pool_scores = np.full((n_rows, pool), -np.inf)
         fill = np.zeros(n_rows, dtype=np.int64)
@@ -702,37 +808,19 @@ class SubtreeIndex:
             scores = queries[hit] @ self._eff[rows].T + self._bias[rows]
             nodes_scored += scores.size
             groups_scanned += 1
-            if banned_rows is not None:
-                for slot, row in enumerate(hit):
-                    hits = banned_rows[row]
-                    if hits is None:
-                        continue
-                    at = np.searchsorted(rows, hits)
-                    inside = at < rows.size
-                    at, row_hits = at[inside], hits[inside]
-                    at = at[rows[at] == row_hits]
-                    if at.size:
-                        scores[slot, at] = -np.inf
+            _ban(scores, rows, hit, banned_rows)
             for slot, row in enumerate(hit):
                 offset = fill[row]
                 pool_items[row, offset : offset + ids.size] = ids
                 pool_scores[row, offset : offset + ids.size] = scores[slot]
                 fill[row] += ids.size
         merged_items, merged_scores = merge_top_k_pages(
-            [pool_items], [pool_scores], width
+            [pool_items], [pool_scores], items_out.shape[1]
         )
         got = merged_items.shape[1]
         items_out[:, :got] = merged_items
         scores_out[:, :got] = merged_scores
-        if self._scan_seconds is not None:
-            self._scan_seconds.observe(
-                max(0.0, time.perf_counter() - started)
-            )
-            self._nodes_counter.inc(nodes_scored)
-            self._rows_counter.inc(n_rows)
-        return RetrievalPage(
-            items_out, scores_out, nodes_scored, groups_scanned
-        )
+        return nodes_scored, groups_scanned
 
     def _resolve_banned(
         self,

@@ -52,7 +52,12 @@ from repro.data.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.serving.coldstart import FoldInRecommender
-from repro.serving.index import SubtreeIndex
+from repro.serving.index import (  # noqa: F401 - re-exported
+    APPROX_RETRIEVAL_MODES,
+    RETRIEVAL_MODES,
+    RetrievalPlan,
+    SubtreeIndex,
+)
 from repro.serving.protocol import History
 from repro.taxonomy.version import TaxonomyVersion
 from repro.utils.config import CascadeConfig
@@ -61,59 +66,6 @@ from repro.utils.rng import RngLike
 
 class ServingError(RuntimeError):
     """A request cannot be routed (e.g. no fallback model configured)."""
-
-
-#: Every known-user ranking strategy the service (and the shard router)
-#: accepts: two exact ("exact" dense pass, "pruned" SubtreeIndex scan with
-#: bit-identical output) and two approximate-but-deterministic ("budget"
-#: bound-ordered scan under a node budget, "ivf" top-nprobe cell probing).
-RETRIEVAL_MODES = ("exact", "pruned", "budget", "ivf")
-
-#: The subset of :data:`RETRIEVAL_MODES` that trades recall for speed.
-#: Same model + same knobs still means byte-identical rankings across
-#: runs and shard counts — approximate refers to recall, not determinism.
-APPROX_RETRIEVAL_MODES = ("budget", "ivf")
-
-
-def _check_retrieval_config(
-    retrieval: str,
-    cascade,
-    budget: Optional[int],
-    nprobe: Optional[int],
-) -> None:
-    """Reject invalid (retrieval, cascade, knob) combinations up front.
-
-    Shared by :class:`RecommenderService` and
-    :class:`~repro.serving.sharding.ShardRouter`, so a fleet and a single
-    process refuse exactly the same configurations with the same message.
-    """
-    if retrieval not in RETRIEVAL_MODES:
-        raise ValueError(
-            f"retrieval must be one of {'/'.join(RETRIEVAL_MODES)}, "
-            f"got {retrieval!r}"
-        )
-    if retrieval != "exact" and cascade is not None:
-        raise ValueError(
-            f"retrieval={retrieval!r} already prunes the catalog scan "
-            "('pruned' exactly, 'budget'/'ivf' approximately) and cannot "
-            "be combined with cascaded (approximate) inference; drop one"
-        )
-    if budget is not None:
-        if retrieval != "budget":
-            raise ValueError(
-                f"budget= only applies to retrieval='budget', "
-                f"got retrieval={retrieval!r}"
-            )
-        if int(budget) < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-    if nprobe is not None:
-        if retrieval != "ivf":
-            raise ValueError(
-                f"nprobe= only applies to retrieval='ivf', "
-                f"got retrieval={retrieval!r}"
-            )
-        if int(nprobe) < 1:
-            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
 
 
 #: Sliding window of per-request latencies kept for percentile reporting.
@@ -399,17 +351,13 @@ class ModelState:
         the matrices one batched scoring pass multiplies against.
     generation:
         The cache generation this state was installed at.
-    retrieval:
-        How known users are ranked against the catalog: ``"exact"``
-        (dense pass over every item), ``"pruned"`` (taxonomy-pruned
-        exact retrieval through :attr:`index`), or the approximate —
-        but still deterministic — sub-linear modes ``"budget"`` /
-        ``"ivf"`` (see :data:`RETRIEVAL_MODES`).
     index:
         The :class:`~repro.serving.index.SubtreeIndex` built over this
-        state's factor snapshots (``None`` when ``retrieval="exact"``;
-        built with ``approx=True`` for the approximate modes).  Rebuilt
-        by every swap, so it can never serve retired factors.
+        state's factor snapshots for the service's
+        :class:`~repro.serving.index.RetrievalPlan` (``None`` for the
+        ``"exact"`` dense pass; built with ``approx=True`` for the
+        approximate modes).  Rebuilt by every swap, so it can never serve
+        retired factors.
     taxonomy_version:
         The :class:`~repro.taxonomy.version.TaxonomyVersion` of the tree
         this state serves.  Everything in the state — factors, index,
@@ -426,7 +374,6 @@ class ModelState:
     effective: np.ndarray
     bias: np.ndarray
     generation: int
-    retrieval: str = "exact"
     index: Optional[SubtreeIndex] = None
     taxonomy_version: Optional[TaxonomyVersion] = None
 
@@ -483,6 +430,10 @@ class RecommenderService:
     nprobe:
         Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
         everything, i.e. exact results).  Rejected with any other mode.
+
+        The four retrieval keywords are validated once into
+        :attr:`plan`, a :class:`~repro.serving.index.RetrievalPlan`;
+        knobs must be integers >= 1 (never floats or ``bool``).
     registry:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` the
         service's :class:`ServingStats` records into; a private registry
@@ -532,11 +483,12 @@ class RecommenderService:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
-        _check_retrieval_config(retrieval, cascade, budget, nprobe)
-        self.retrieval = retrieval
-        self.index_level = index_level
-        self.budget = None if budget is None else int(budget)
-        self.nprobe = None if nprobe is None else int(nprobe)
+        #: The validated :class:`~repro.serving.index.RetrievalPlan` every
+        #: known-user scan runs under (constant across hot swaps).
+        self.plan = RetrievalPlan(
+            retrieval, budget=budget, nprobe=nprobe, level=index_level
+        )
+        self.plan.check_cascade(cascade)
         self.fold_in_steps = int(fold_in_steps)
         self.fold_in_seed = fold_in_seed
         self.query_cache = QueryVectorCache(cache_size)
@@ -574,7 +526,7 @@ class RecommenderService:
         effective = factor_set.effective_items()
         bias = factor_set.bias_of_items()
         index = None
-        if self.retrieval != "exact":
+        if self.plan.indexed:
             # Rebuilt on every swap/refresh: the index snapshots the
             # factors, so a stale index could silently serve a retired
             # model long after the dense path moved on.
@@ -582,9 +534,9 @@ class RecommenderService:
                 effective,
                 bias,
                 model.taxonomy,
-                level=self.index_level,
+                level=self.plan.level,
                 registry=self._stats.registry,
-                approx=self.retrieval in APPROX_RETRIEVAL_MODES,
+                approx=self.plan.approx,
             )
         return ModelState(
             model=model,
@@ -595,7 +547,6 @@ class RecommenderService:
             effective=effective,
             bias=bias,
             generation=generation,
-            retrieval=self.retrieval,
             index=index,
             taxonomy_version=model.taxonomy.version,
         )
@@ -804,7 +755,7 @@ class RecommenderService:
         query = self._query_vector(state, user, history)
         banned = self._banned_items(state, user)
         if state.index is not None:
-            page = self._index_page(state, query[None, :], k, [banned])
+            page = state.index.search(query[None, :], k, [banned], self.plan)
             self._stats.add(nodes_scored=page.nodes_scored)
             row = page.items[0]
             return row[row >= 0]
@@ -814,24 +765,6 @@ class RecommenderService:
             scores[banned] = -np.inf
         row = top_k_rows(scores[None, :], k)[0]
         return row[row >= 0]
-
-    def _index_page(
-        self,
-        state: ModelState,
-        queries: np.ndarray,
-        k: int,
-        banned: List[np.ndarray],
-    ):
-        """One index scan in the state's retrieval mode (incl. knobs)."""
-        if state.retrieval == "budget":
-            return state.index.top_k_budget(
-                queries, k, banned=banned, budget=self.budget
-            )
-        if state.retrieval == "ivf":
-            return state.index.top_k_ivf(
-                queries, k, banned=banned, nprobe=self.nprobe
-            )
-        return state.index.top_k(queries, k, banned=banned)
 
     def _query_vector(
         self, state: ModelState, user: int, history: Optional[History]
@@ -994,7 +927,7 @@ class RecommenderService:
 
         banned = [self._banned_items(state, int(user)) for user in users]
         if state.index is not None:
-            page = self._index_page(state, queries, width, banned)
+            page = state.index.search(queries, width, banned, self.plan)
             self._stats.add(nodes_scored=page.nodes_scored)
             return page.items
         scores = queries @ state.effective.T + state.bias[None, :]

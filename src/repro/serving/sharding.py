@@ -109,13 +109,9 @@ from repro.core.topk import PAD_ITEM, merge_top_k_rows, top_k_rows
 from repro.data.transactions import TransactionLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, SpanContext, Tracer
-from repro.serving.index import SubtreeIndex
+from repro.serving.index import RetrievalPlan, SubtreeIndex
 from repro.serving.protocol import History
-from repro.serving.service import (
-    APPROX_RETRIEVAL_MODES,
-    RecommenderService,
-    _check_retrieval_config,
-)
+from repro.serving.service import RecommenderService
 from repro.taxonomy.tree import Taxonomy
 from repro.utils.config import CascadeConfig, TrainConfig
 from repro.utils.rng import RngLike
@@ -515,9 +511,7 @@ class _WorkerSpec:
     fold_in_seed: RngLike
     cache_size: int
     payload: _ModelPayload
-    retrieval: str = "exact"
-    budget: Optional[int] = None
-    nprobe: Optional[int] = None
+    plan: RetrievalPlan
 
 
 def _slice_bounds(shard_index: int, n_shards: int, n_items: int) -> Tuple[int, int]:
@@ -574,6 +568,11 @@ class _WorkerState:
         model._factors = factor_set
         if history_log is not None:
             model.attach_log(history_log)
+        # In the item partition the service only ever serves cold users
+        # (known traffic goes through page()), so a full catalog index
+        # would be dead weight; the slice index below carries the plan.
+        sliced = spec.partition == "items"
+        service_plan = RetrievalPlan() if sliced else spec.plan
         service = RecommenderService(
             model,
             history_log=history_log,
@@ -582,16 +581,10 @@ class _WorkerState:
             fold_in_steps=spec.fold_in_steps,
             fold_in_seed=spec.fold_in_seed,
             cache_size=spec.cache_size,
-            # In the item partition the service only ever serves cold
-            # users (known traffic goes through page()), so the full
-            # catalog index would be dead weight; the slice index below
-            # carries the pruning there instead.
-            retrieval=spec.retrieval if spec.partition == "users" else "exact",
-            budget=spec.budget if spec.partition == "users" else None,
-            nprobe=spec.nprobe if spec.partition == "users" else None,
+            **service_plan.keywords(),
         )
         slice_index = None
-        if spec.partition == "items" and spec.retrieval != "exact":
+        if sliced and spec.plan.indexed:
             state = service.model_state
             lo, hi = _slice_bounds(
                 spec.shard_index, spec.n_shards, state.model.n_items
@@ -606,7 +599,7 @@ class _WorkerState:
                 state.bias,
                 payload.taxonomy,
                 items=np.arange(lo, hi, dtype=np.int64),
-                approx=spec.retrieval in APPROX_RETRIEVAL_MODES,
+                approx=spec.plan.approx,
             )
         return cls(spec, service, segments, slice_index)
 
@@ -711,21 +704,12 @@ class _WorkerState:
         width = min(int(k), hi - lo)
         if self.slice_index is not None:
             banned = [
-                log.user_items(int(user))
-                if log is not None and user < log.n_users
-                else np.empty(0, dtype=np.int64)
+                RecommenderService._banned_items(state, int(user))
                 for user in users
             ]
-            if self.spec.retrieval == "budget":
-                result = self.slice_index.top_k_budget(
-                    queries, width, banned=banned, budget=self.spec.budget
-                )
-            elif self.spec.retrieval == "ivf":
-                result = self.slice_index.top_k_ivf(
-                    queries, width, banned=banned, nprobe=self.spec.nprobe
-                )
-            else:
-                result = self.slice_index.top_k(queries, width, banned=banned)
+            result = self.slice_index.search(
+                queries, width, banned, self.spec.plan
+            )
             items, page_scores = result.items, result.scores
             nodes_scored = result.nodes_scored
         else:
@@ -974,7 +958,9 @@ class ShardRouter:
         everything, exact results); rejected with any other mode.
     nprobe:
         Cells probed per row for ``retrieval="ivf"`` (``None`` = probe
-        everything, exact results); rejected with any other mode.
+        everything, exact results); rejected with any other mode.  The
+        three keywords are validated once into :attr:`plan`, which
+        every worker receives in its spec.
     mp_context:
         A :mod:`multiprocessing` start-method name or context (defaults
         to the platform default — ``fork`` on Linux, ``spawn`` on
@@ -1033,12 +1019,12 @@ class ShardRouter:
                 "cascaded inference prunes whole categories and cannot be "
                 "combined with item-sliced shards; use partition='users'"
             )
-        _check_retrieval_config(retrieval, cascade, budget, nprobe)
+        #: The validated :class:`~repro.serving.index.RetrievalPlan` every
+        #: shard serves known users under.
+        self.plan = RetrievalPlan(retrieval, budget=budget, nprobe=nprobe)
+        self.plan.check_cascade(cascade)
         self.n_shards = int(n_shards)
         self.partition = partition
-        self.retrieval = retrieval
-        self.budget = None if budget is None else int(budget)
-        self.nprobe = None if nprobe is None else int(nprobe)
         self.request_timeout = float(request_timeout)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
@@ -1089,9 +1075,7 @@ class ShardRouter:
                     fold_in_seed=fold_in_seed,
                     cache_size=cache_size,
                     payload=payload,
-                    retrieval=retrieval,
-                    budget=self.budget,
-                    nprobe=self.nprobe,
+                    plan=self.plan,
                 )
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(
@@ -1572,6 +1556,6 @@ class ShardRouter:
     def __repr__(self) -> str:
         return (
             f"ShardRouter(n_shards={self.n_shards}, "
-            f"partition={self.partition!r}, retrieval={self.retrieval!r}, "
+            f"partition={self.partition!r}, retrieval={self.plan.mode!r}, "
             f"generation={self._generation})"
         )

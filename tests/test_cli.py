@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
 from repro import __version__
-from repro.cli import main
+from repro.cli import _serving_plan, main
+from repro.serving.index import RetrievalPlan
 
 
 @pytest.fixture(scope="module")
@@ -283,24 +285,134 @@ class TestServeBatch:
         capsys.readouterr()
         assert hinted == exact  # identical rankings, different engine
 
-    def test_retrieval_resolution_precedence(self):
-        """Flag beats hint beats default — checked directly, because the
-        end-to-end outputs above are bit-identical either way (the
-        exactness guarantee) and cannot distinguish the engines."""
-        import argparse
-
-        from repro.cli import _serving_retrieval
-
-        flag = lambda value: argparse.Namespace(retrieval=value)
-        assert _serving_retrieval(flag(None), {}) == "exact"
-        assert (
-            _serving_retrieval(flag(None), {"retrieval": "pruned"})
-            == "pruned"
+    @pytest.mark.parametrize(
+        "flags,extra,expected",
+        [
+            # The mode: flag > hint > default.
+            ({}, {}, RetrievalPlan()),
+            ({}, {"retrieval": "pruned"}, RetrievalPlan("pruned")),
+            ({"retrieval": "exact"}, {"retrieval": "pruned"}, RetrievalPlan()),
+            # budget: flag > hint > default.
+            ({}, {"retrieval": "budget"}, RetrievalPlan("budget")),
+            (
+                {},
+                {"retrieval": "budget", "budget": 7},
+                RetrievalPlan("budget", budget=7),
+            ),
+            (
+                {"budget": 9},
+                {"retrieval": "budget", "budget": 7},
+                RetrievalPlan("budget", budget=9),
+            ),
+            (
+                {"retrieval": "budget", "budget": 9},
+                {},
+                RetrievalPlan("budget", budget=9),
+            ),
+            # nprobe: flag > hint > default.
+            ({}, {"retrieval": "ivf"}, RetrievalPlan("ivf")),
+            (
+                {},
+                {"retrieval": "ivf", "nprobe": 3},
+                RetrievalPlan("ivf", nprobe=3),
+            ),
+            (
+                {"nprobe": 5},
+                {"retrieval": "ivf", "nprobe": 3},
+                RetrievalPlan("ivf", nprobe=5),
+            ),
+            (
+                {"retrieval": "ivf", "nprobe": 5},
+                {},
+                RetrievalPlan("ivf", nprobe=5),
+            ),
+            # A mode flag drops the knob hint of the hinted mode.
+            (
+                {"retrieval": "exact"},
+                {"retrieval": "budget", "budget": 7},
+                RetrievalPlan(),
+            ),
+            (
+                {"retrieval": "ivf"},
+                {"retrieval": "budget", "budget": 7},
+                RetrievalPlan("ivf"),
+            ),
+            (
+                {"retrieval": "budget"},
+                {"retrieval": "ivf", "nprobe": 3},
+                RetrievalPlan("budget"),
+            ),
+            (
+                {"retrieval": "budget", "budget": 4},
+                {"retrieval": "budget", "budget": 7},
+                RetrievalPlan("budget", budget=4),
+            ),
+        ],
+    )
+    def test_serving_plan_precedence(self, flags, extra, expected):
+        """Flag beats hint beats default, for the mode and each knob —
+        checked directly, because the end-to-end outputs are often
+        bit-identical either way and cannot tell the engines apart."""
+        args = argparse.Namespace(
+            **{"retrieval": None, "budget": None, "nprobe": None, **flags}
         )
-        assert (
-            _serving_retrieval(flag("exact"), {"retrieval": "pruned"})
-            == "exact"
+        assert _serving_plan(args, extra) == expected
+
+    @pytest.mark.parametrize(
+        "flags,extra,match",
+        [
+            ({"retrieval": "ivf", "budget": 100}, {}, "budget"),
+            ({"budget": 100}, {"retrieval": "ivf"}, "budget"),
+            ({}, {"retrieval": "budget", "budget": 7.9}, "budget"),
+            ({}, {"retrieval": "budget", "budget": True}, "budget"),
+            ({}, {"retrieval": "budget", "budget": "7"}, "budget"),
+            ({}, {"retrieval": "ivf", "nprobe": 2.5}, "nprobe"),
+            ({}, {"retrieval": "ivf", "nprobe": 0}, "nprobe"),
+            ({}, {"retrieval": "warp-speed"}, "retrieval"),
+        ],
+    )
+    def test_serving_plan_refusals(self, flags, extra, match):
+        """Bad or conflicting values exit naming the knob; a fractional,
+        boolean or string hint is refused, never truncated."""
+        args = argparse.Namespace(
+            **{"retrieval": None, "budget": None, "nprobe": None, **flags}
         )
+        with pytest.raises(SystemExit, match=match):
+            _serving_plan(args, extra)
+
+    @pytest.mark.parametrize("mode", ["exact", "ivf"])
+    def test_mode_flag_overrides_knob_hint(
+        self, workspace, capsys, tmp_path, mode
+    ):
+        """A bundle hinting budget=7 serves --retrieval exact/ivf exactly
+        like the plain bundle does, instead of refusing the budget."""
+        from repro.serving.bundle import ModelBundle
+
+        directory, model_path = workspace
+        bundle = ModelBundle.load(model_path)
+        bundle.extra.update({"retrieval": "budget", "budget": 7})
+        hinted_path = tmp_path / "hinted"
+        bundle.save(hinted_path)
+        hinted = self._serve(
+            directory, hinted_path, tmp_path / "h.jsonl", "--retrieval", mode
+        )
+        plain = self._serve(
+            directory, model_path, tmp_path / "p.jsonl", "--retrieval", mode
+        )
+        capsys.readouterr()
+        assert hinted == plain
+
+    def test_fractional_manifest_knob_refused(self, workspace, capsys, tmp_path):
+        from repro.serving.bundle import ModelBundle
+
+        directory, model_path = workspace
+        bundle = ModelBundle.load(model_path)
+        bundle.extra.update({"retrieval": "budget", "budget": 7.9})
+        bad_path = tmp_path / "fractional"
+        bundle.save(bad_path)
+        with pytest.raises(SystemExit, match="budget must be an integer"):
+            self._serve(directory, bad_path, tmp_path / "f.jsonl")
+        capsys.readouterr()
 
     def test_bad_bundle_retrieval_hint_rejected(
         self, workspace, capsys, tmp_path

@@ -25,7 +25,7 @@ from repro.core.factors import FactorSet
 from repro.core.tf_model import TaxonomyFactorModel
 from repro.core.topk import PAD_ITEM
 from repro.eval.recall import recall_vs_reference, sweep_recall
-from repro.serving.index import SubtreeIndex
+from repro.serving.index import RetrievalPlan, SubtreeIndex
 from repro.serving.service import RecommenderService
 from repro.serving.sharding import ShardRouter
 from repro.taxonomy.generator import complete_taxonomy
@@ -86,14 +86,14 @@ class TestKnobExtremeIdentity:
     @pytest.mark.parametrize("knob", [None, 10_000])
     def test_budget_extreme_matches_exact(self, index, queries, knob):
         exact = index.top_k(queries, 7)
-        page = index.top_k_budget(queries, 7, budget=knob)
+        page = index.search(queries, 7, plan=RetrievalPlan("budget", budget=knob))
         assert np.array_equal(page.items, exact.items)
         np.testing.assert_allclose(page.scores, exact.scores, rtol=1e-12)
 
     @pytest.mark.parametrize("knob", [None, 10_000])
     def test_nprobe_extreme_matches_exact(self, index, queries, knob):
         exact = index.top_k(queries, 7)
-        page = index.top_k_ivf(queries, 7, nprobe=knob)
+        page = index.search(queries, 7, plan=RetrievalPlan("ivf", nprobe=knob))
         assert np.array_equal(page.items, exact.items)
         np.testing.assert_allclose(page.scores, exact.scores, rtol=1e-12)
 
@@ -106,8 +106,8 @@ class TestKnobExtremeIdentity:
         ]
         exact = index.top_k(queries, 7, banned=banned)
         for page in (
-            index.top_k_budget(queries, 7, banned=banned),
-            index.top_k_ivf(queries, 7, banned=banned),
+            index.search(queries, 7, banned, RetrievalPlan("budget")),
+            index.search(queries, 7, banned, RetrievalPlan("ivf")),
         ):
             assert np.array_equal(page.items, exact.items)
         assert (exact.items[0] == PAD_ITEM).all()
@@ -167,7 +167,9 @@ class TestRecallMonotonicity:
         exact = index.top_k(queries, 10, banned=banned)
         last = -1.0
         for budget in (1, 20, 60, taxonomy.n_items):
-            page = index.top_k_budget(queries, 10, banned=banned, budget=budget)
+            page = index.search(
+                queries, 10, banned, RetrievalPlan("budget", budget=budget)
+            )
             recall = recall_vs_reference(page.items, exact.items)
             assert recall >= last
             last = recall
@@ -203,14 +205,11 @@ class TestApproximateFuzz:
 
         if rng.random() < 0.5:
             knob = int(rng.integers(1, n_items + 2))
-            scan = lambda: index.top_k_budget(  # noqa: E731
-                queries, k, banned=banned, budget=knob
-            )
+            plan = RetrievalPlan("budget", budget=knob)
         else:
             knob = int(rng.integers(1, index.n_cells + 2))
-            scan = lambda: index.top_k_ivf(  # noqa: E731
-                queries, k, banned=banned, nprobe=knob
-            )
+            plan = RetrievalPlan("ivf", nprobe=knob)
+        scan = lambda: index.search(queries, k, banned, plan)  # noqa: E731
         page = scan()
 
         width = min(k, n_items)
@@ -244,11 +243,15 @@ class TestApproximateFuzz:
         k = int(rng.integers(1, taxonomy.n_items + 3))
         exact = index.top_k(queries, k)
         assert np.array_equal(
-            index.top_k_budget(queries, k, budget=taxonomy.n_items).items,
+            index.search(
+                queries, k, plan=RetrievalPlan("budget", budget=taxonomy.n_items)
+            ).items,
             exact.items,
         )
         assert np.array_equal(
-            index.top_k_ivf(queries, k, nprobe=index.n_cells).items,
+            index.search(
+                queries, k, plan=RetrievalPlan("ivf", nprobe=index.n_cells)
+            ).items,
             exact.items,
         )
 
@@ -256,10 +259,10 @@ class TestApproximateFuzz:
         taxonomy, effective, bias = _catalog()
         index = SubtreeIndex(effective, bias, taxonomy, approx=True)
         queries = np.random.default_rng(0).normal(size=(4, FACTORS))
-        assert index.top_k_budget(queries, 0, budget=5).items.shape == (4, 0)
-        assert index.top_k_ivf(
-            queries[:0], 3, nprobe=1
-        ).items.shape == (0, 3)
+        budget = RetrievalPlan("budget", budget=5)
+        assert index.search(queries, 0, plan=budget).items.shape == (4, 0)
+        ivf = RetrievalPlan("ivf", nprobe=1)
+        assert index.search(queries[:0], 3, plan=ivf).items.shape == (0, 3)
 
 
 # ----------------------------------------------------------------------
@@ -271,9 +274,9 @@ class TestApproxScanGuard:
         index = SubtreeIndex(effective, bias, taxonomy)
         queries = np.zeros((2, FACTORS))
         with pytest.raises(ValueError, match="approx=True"):
-            index.top_k_budget(queries, 3)
+            index.search(queries, 3, plan=RetrievalPlan("budget"))
         with pytest.raises(ValueError, match="approx=True"):
-            index.top_k_ivf(queries, 3)
+            index.search(queries, 3, plan=RetrievalPlan("ivf"))
 
 
 # ----------------------------------------------------------------------
@@ -327,3 +330,55 @@ class TestInvalidRetrievalConfigs:
             factory(retrieval="budget", budget=0)
         with pytest.raises(ValueError, match="nprobe must be >= 1"):
             factory(retrieval="ivf", nprobe=0)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"retrieval": "budget", "budget": 7.9},
+            {"retrieval": "budget", "budget": True},
+            {"retrieval": "budget", "budget": np.float64(2.5)},
+            {"retrieval": "budget", "budget": "7"},
+            {"retrieval": "ivf", "nprobe": 2.0},
+            {"retrieval": "ivf", "nprobe": False},
+        ],
+    )
+    def test_non_integer_knobs_rejected(self, factory, knobs):
+        """Fractional, boolean and string knobs are refused, not truncated."""
+        name = "budget" if "budget" in knobs else "nprobe"
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            factory(**knobs)
+
+
+# ----------------------------------------------------------------------
+# The plan value itself
+# ----------------------------------------------------------------------
+class TestRetrievalPlan:
+    def test_numpy_integers_accepted_as_plain_ints(self):
+        plan = RetrievalPlan("budget", budget=np.int64(7))
+        assert plan == RetrievalPlan("budget", budget=7)
+        assert type(plan.budget) is int
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            RetrievalPlan(),
+            RetrievalPlan("pruned", level=1),
+            RetrievalPlan("budget", budget=np.int64(50)),
+            RetrievalPlan("ivf", nprobe=3),
+        ],
+    )
+    def test_pickle_round_trip(self, plan):
+        """Plans ride in the worker spec to spawned shard processes."""
+        import pickle
+
+        assert pickle.loads(pickle.dumps(plan)) == plan
+
+    def test_service_holds_the_validated_plan(self):
+        service = _service_factory(retrieval="ivf", nprobe=np.int32(2))
+        assert service.plan == RetrievalPlan("ivf", nprobe=2)
+
+    def test_level_is_validated(self):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            RetrievalPlan("pruned", level=1.5)
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            RetrievalPlan("pruned", level=-1)

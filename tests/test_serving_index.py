@@ -207,7 +207,7 @@ class TestServicePrunedRetrieval:
             exact.recommend_batch(users, k=10),
         )
         assert pruned.model_state.index is not None
-        assert pruned.model_state.retrieval == "pruned"
+        assert pruned.plan.mode == "pruned"
         assert exact.model_state.index is None
 
     def test_single_requests_match(self, trained):
@@ -335,7 +335,7 @@ class TestShardedPrunedRetrieval:
             retrieval="pruned",
         ) as fleet:
             got = fleet.recommend_batch(users, k=10)
-            assert fleet.retrieval == "pruned"
+            assert fleet.plan.mode == "pruned"
         assert np.array_equal(got, expected)
 
     def test_fleet_swap_rebuilds_shard_indexes(self, trained):
